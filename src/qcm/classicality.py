@@ -168,17 +168,17 @@ def deviation_profile(record: MembershipRecord) -> DeviationProfile:
 
     iA = mu(A) - mu(A and B) - mu(A and B'), analogously for iB, iAp, iBp;
     iTotal = 1 - sum of the four conjunction weights.  All five vanish
-    exactly on classical data.
+    exactly on classical data.  These are check_negation's residuals, with
+    iTotal = -unit_mass.
     """
-    mu_a, mu_b, mu_ap, mu_bp, ab, abp, apb, apbp = record.require(
-        "muA", "muB", "muAp", "muBp", "muAandB", "muAandBp", "muApandB", "muApandBp"
-    )
+    residuals = check_negation(record).residuals
     return DeviationProfile(
-        i_a=mu_a - ab - abp,
-        i_b=mu_b - ab - apb,
-        i_ap=mu_ap - apbp - apb,
-        i_bp=mu_bp - apbp - abp,
-        i_total=1.0 - (ab + abp + apb + apbp),
+        i_a=residuals["marginal_A"],
+        i_b=residuals["marginal_B"],
+        i_ap=residuals["marginal_Ap"],
+        i_bp=residuals["marginal_Bp"],
+        # 0.0 - x, not -x: a zero unit_mass must stay +0.0
+        i_total=0.0 - residuals["unit_mass"],
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -58,14 +59,18 @@ def _yesno(flag: bool) -> str:
 
 def _resolve_tolerance(flag_value: float | None, default: float) -> float:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("QCM_TOLERANCE")
-    if env is not None and env.strip() != "":
+        value, source = flag_value, "--tolerance"
+    else:
+        env = os.environ.get("QCM_TOLERANCE")
+        if env is None or env.strip() == "":
+            return default
         try:
-            return float(env)
+            value, source = float(env), "QCM_TOLERANCE"
         except ValueError:
             raise DataValidationError(f"QCM_TOLERANCE is not a number: {env!r}")
-    return default
+    if not (math.isfinite(value) and value > 0.0):
+        raise DataValidationError(f"{source} must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _input_name(path: str) -> str:
@@ -344,7 +349,6 @@ def _cmd_fock_fit(args) -> tuple[str, dict, list[svg.Chart]]:
         return "\n".join(lines) + "\n", payload, charts
 
     # general quadruple mode
-    options = fock.GeneralFitOptions(seed=args.seed, tolerance=tolerance)
     lines = [
         f"fock fit report: {name}",
         "mode: general",
@@ -358,7 +362,7 @@ def _cmd_fock_fit(args) -> tuple[str, dict, list[svg.Chart]]:
         if not (record.negation_complete() and record.has("muAandB")):
             continue
         index += 1
-        result = fock.fit_general_quadruple(record, options)
+        result = fock.fit_general_quadruple(record, tolerance)
         params = result.params
         targets = dict(zip(fock.PAIR_KEYS, fock.joint_targets(record)))
         predictions = fock.eval_general_record(record, params)
@@ -702,7 +706,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--policy", choices=("min-interference", "min-m2"), default="min-interference"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted and echoed only; the general fit is exact"
+    )
     common(p)
 
     p = sub.add_parser("chsh", help="CHSH and marginal-law analysis of a coincidence table")

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Literal
-
-import numpy as np
 
 from .data import MembershipRecord
 from .errors import DataValidationError
@@ -305,7 +304,6 @@ class FitResult:
     family: FeasibleSet | None
     policy: str
     tolerance: float = FIT_TOLERANCE
-    seed: int | None = None
 
     def __post_init__(self):
         if self.feasible and self.residual > self.tolerance:
@@ -449,211 +447,197 @@ def fit_two_sector(
     )
 
 
-@dataclass(frozen=True)
-class GeneralFitOptions:
-    seed: int = 0
-    starts: int = 48
-    marginal_slack: float = 0.05
-    tolerance: float = FIT_TOLERANCE
-    refine_rounds: int = 40
+MARGINAL_SLACK = 0.05  # how far the alpha marginals may stray from mu(A), mu(B)
 
 
 def _solve_pair(target: float, avg: float, alpha: float, interf: float):
     """Least-interference (m2, beta, phi) reproducing target for one pair.
 
-    Returns (pair_params_tuple, interference_used).  The model value is
-    m2*alpha + (1-m2)*(avg + beta*cos(phi)); a zero-interference solution
-    exists iff target lies between alpha and avg.
+    The model value is m2*alpha + (1-m2)*(avg + beta*cos(phi)); a
+    zero-interference solution exists iff target lies between alpha and
+    avg, i.e. iff alpha sits on the target's side (alpha >= target when
+    target > avg, alpha <= target when target < avg).  Otherwise the
+    interference used is |target - avg| whatever alpha is: all or nothing.
     """
     offset = target - avg
-    span = alpha - avg
     if abs(offset) <= _EPS:
-        return (0.0, 0.0, math.pi / 2), 0.0
-    if abs(span) > _EPS:
-        m2_star = offset / span
-        if -_EPS <= m2_star <= 1.0 + _EPS:
-            return (min(max(m2_star, 0.0), 1.0), 0.0, math.pi / 2), 0.0
+        return 0.0, 0.0, math.pi / 2
+    if math.copysign(1.0, offset) * (alpha - target) >= -_EPS:
+        return min(offset / (alpha - avg), 1.0), 0.0, math.pi / 2
     # interference required; put it all in sector 1 (m2 = 0)
     if interf >= abs(offset) and interf > 0.0:
-        return (0.0, interf, math.acos(min(max(offset / interf, -1.0), 1.0))), abs(offset)
+        return 0.0, interf, math.acos(min(max(offset / interf, -1.0), 1.0))
     beta = min(max(offset, -1.0), 1.0)
-    phi = 0.0 if beta >= 0.0 else math.pi
-    return (0.0, abs(beta), phi), abs(offset)
+    return 0.0, abs(beta), 0.0 if beta >= 0.0 else math.pi
+
+
+def _least_slack_point(bounds, box):
+    """Least-slack (sa, sb, a1) meeting every a1 bound, or None.
+
+    ``bounds`` holds (lower, (c0, c1, c2)) affine bounds c0 + c1*sa + c2*sb
+    on a1; ``box`` is (sa_lo, sa_hi, sb_lo, sb_hi).  Eliminating a1 leaves
+    lower - upper <= 0 for every pair of bounds, a 2-D polygon inside the
+    box.  |sa| + |sb| is linear on each quadrant, so its minimum lies on a
+    vertex of the polygon cut by the axes: an intersection of two of those
+    lines.  Ties go to the smallest sa, then sb; a1 sits at its lower bound.
+    """
+    tol = _EPS / 10  # tighter than _solve_pair's, so a chosen pair stays free
+    lowers = [form for lower, form in bounds if lower]
+    uppers = [form for lower, form in bounds if not lower]
+    sa_lo, sa_hi, sb_lo, sb_hi = box
+    constraints = {(sa_lo, -1.0, 0.0), (-sa_hi, 1.0, 0.0), (sb_lo, 0.0, -1.0), (-sb_hi, 0.0, 1.0)}
+    for low in lowers:
+        for up in uppers:
+            g = (low[0] - up[0], low[1] - up[1], low[2] - up[2])
+            if g[1] == g[2] == 0.0:
+                if g[0] > tol:
+                    return None
+            else:
+                constraints.add(g)
+    constraints = list(constraints)
+    lines = constraints + [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # plus the axes
+    best = None
+    for i, (c0, c1, c2) in enumerate(lines):
+        for d0, d1, d2 in lines[i + 1:]:
+            det = c1 * d2 - c2 * d1
+            if det == 0.0:
+                continue
+            sa = (c2 * d0 - c0 * d2) / det
+            sb = (c0 * d1 - c1 * d0) / det
+            if all(g0 + g1 * sa + g2 * sb <= tol for g0, g1, g2 in constraints):
+                # slack rounded so that float noise cannot decide a tie
+                key = (round(abs(sa) + abs(sb), 12), sa, sb)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    _, sa, sb = best
+    a1 = max(c0 + c1 * sa + c2 * sb for c0, c1, c2 in lowers)
+    return best + (a1,)
 
 
 def fit_general_quadruple(
-    record: MembershipRecord, options: GeneralFitOptions | None = None
+    record: MembershipRecord, tolerance: float = FIT_TOLERANCE
 ) -> FitResult:
     """Fit the general quadruple model to all four conjunction weights.
 
-    Deterministic given the seed: a classical sector-2 shortcut candidate
-    (alpha = the four conjunction weights, m2 = 1) is tried first, then a
-    seeded multi-start over the alpha simplex slice allowed by the soft
-    marginal constraints, each scored by the closed-form per-pair solve,
-    followed by a pattern-search refinement.  Candidates are ranked by
-    (max |residual|, total interference, marginal slack), so classical
-    records always come back with m2 = 1 and zero residual.
+    A classical sector-2 shortcut (alpha = the four conjunction weights,
+    m2 = 1) is tried first, so classical records come back with m2 = 1 and
+    zero residual.  Otherwise the alphas range over the slice
+    ``(a1, ma - a1, mb - a1, 1 - ma - mb + a1)`` with marginal targets
+    ``ma = mu_a + sa``, ``mb = mu_b + sb`` inside the slack box
+    ``|sa|, |sb| <= MARGINAL_SLACK``, and each pair is solved in closed form
+    by ``_solve_pair``.  Every pair reproduces its target exactly; its
+    interference cost is 0 when its alpha lies on the target's side and
+    |target - avg| otherwise.
+
+    The fit is therefore a choice among at most 2**4 subsets of pairs made
+    interference-free.  Each subset is feasible iff a linear program in
+    (sa, sb, a1) is, and the subsets are searched heaviest removed weight
+    first, stopping at the first weight level with a feasible subset.  The
+    result is the proven least-interference representative, not a search
+    estimate.  Ties are broken, in order, by least marginal slack
+    |sa| + |sb|, then the smallest sa, then the smallest sb, then a1 at its
+    lower bound (the smallest alpha_AB).
     """
-    options = options or GeneralFitOptions()
     mu_a, mu_b = record.require("muA", "muB")
     marginals = record_marginals(record)
     targets = dict(zip(PAIR_KEYS, joint_targets(record)))
     avgs = {k: (m[0] + m[1]) / 2.0 for k, m in marginals.items()}
     interfs = {k: interference_magnitude(*marginals[k]) for k in PAIR_KEYS}
-    delta = options.marginal_slack
+    delta = MARGINAL_SLACK
 
-    def alpha_ok(alphas: tuple[float, float, float, float]) -> bool:
-        if any(a < -_EPS or a > 1.0 + _EPS for a in alphas):
-            return False
-        if abs(sum(alphas) - 1.0) > 1e-9:
-            return False
-        if abs(alphas[0] + alphas[1] - mu_a) > delta + _EPS:
-            return False
-        if abs(alphas[0] + alphas[2] - mu_b) > delta + _EPS:
-            return False
-        return True
-
-    def score(alphas):
-        max_resid = 0.0
-        total_interf = 0.0
-        pairs = []
-        for key, alpha in zip(PAIR_KEYS, alphas):
-            (m2, beta, phi), used = _solve_pair(
-                targets[key], avgs[key], alpha, interfs[key]
+    def result(alphas, pairs, family: FeasibleSet) -> FitResult:
+        pair_params = {
+            key: PairParams(
+                m2=m2, n2=1.0 - m2, alpha=min(max(alpha, 0.0), 1.0), beta=beta, phi_rad=phi
             )
-            value = m2 * alpha + (1.0 - m2) * (avgs[key] + beta * math.cos(phi))
-            max_resid = max(max_resid, abs(value - targets[key]))
-            total_interf += used
-            pairs.append((m2, beta, phi))
-        return max_resid, total_interf, pairs
-
-    # classical shortcut: the conjunction weights themselves as sector-2 atoms
-    atoms = tuple(targets[k] for k in PAIR_KEYS)
-    if abs(sum(atoms) - 1.0) <= 1e-9 and alpha_ok(atoms):
-        pairs = {
-            key: PairParams(m2=1.0, n2=0.0, alpha=alpha, beta=0.0, phi_rad=math.pi / 2)
-            for key, alpha in zip(PAIR_KEYS, atoms)
+            for key, alpha, (m2, beta, phi) in zip(PAIR_KEYS, alphas, pairs)
         }
         params = GeneralFockParams(
-            ab=pairs["AB"], abp=pairs["ABp"], apb=pairs["ApB"], apbp=pairs["ApBp"]
+            ab=pair_params["AB"],
+            abp=pair_params["ABp"],
+            apb=pair_params["ApB"],
+            apbp=pair_params["ApBp"],
         )
         residual = max(
-            abs(p.value - targets[k])
-            for k, p in eval_general_record(record, params).items()
+            abs(p.value - targets[k]) for k, p in eval_general_record(record, params).items()
         )
         return FitResult(
             params=params,
             residual=residual,
-            feasible=residual <= options.tolerance,
-            family=FeasibleSet(
+            feasible=residual <= tolerance,
+            family=family,
+            policy="min-interference",
+            tolerance=tolerance,
+        )
+
+    # classical shortcut: the conjunction weights themselves as sector-2 atoms
+    atoms = tuple(targets[k] for k in PAIR_KEYS)
+    if (
+        abs(sum(atoms) - 1.0) <= 1e-9
+        and abs(atoms[0] + atoms[1] - mu_a) <= delta + _EPS
+        and abs(atoms[0] + atoms[2] - mu_b) <= delta + _EPS
+    ):
+        return result(
+            atoms,
+            [(1.0, 0.0, math.pi / 2)] * 4,
+            FeasibleSet(
                 kind="point",
                 note="pure sector-2 representation from the conjunction weights",
             ),
-            policy="min-interference",
-            tolerance=options.tolerance,
-            seed=options.seed,
         )
 
-    # the alpha slice is parameterized by (sa, sb, frac):
-    #   marginal targets ma = mu_a + sa, mb = mu_b + sb within the slack,
-    #   alpha1 in [max(0, ma+mb-1), min(ma, mb)] picked by frac
-    sa_lo, sa_hi = max(-delta, -mu_a), min(delta, 1.0 - mu_a)
-    sb_lo, sb_hi = max(-delta, -mu_b), min(delta, 1.0 - mu_b)
+    # alpha_XY = sign * a1 + f0 + f1*sa + f2*sb on the slice
+    forms = {
+        "AB": (1.0, (0.0, 0.0, 0.0)),
+        "ABp": (-1.0, (mu_a, 1.0, 0.0)),
+        "ApB": (-1.0, (mu_b, 0.0, 1.0)),
+        "ApBp": (1.0, (1.0 - mu_a - mu_b, -1.0, -1.0)),
+    }
 
-    def alphas_from(sa: float, sb: float, frac: float):
-        ma = mu_a + sa
-        mb = mu_b + sb
-        lo = max(0.0, ma + mb - 1.0)
-        hi = min(ma, mb)
-        if hi < lo:
-            return None
-        a1 = lo + frac * (hi - lo)
-        return (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
+    def a1_bound(key: str, level: float, side: float):
+        # alpha_key >= level (side +1) or <= level (side -1), as a bound on a1
+        sign, (f0, f1, f2) = forms[key]
+        return side * sign > 0.0, (sign * (level - f0), -sign * f1, -sign * f2)
 
-    rng = np.random.default_rng(options.seed)
-    coords = [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
-    lo = max(0.0, mu_a + mu_b - 1.0)
-    hi = min(mu_a, mu_b)
-    if hi > lo:  # independence start: alpha1 = mu_a * mu_b
-        coords.append((0.0, 0.0, (mu_a * mu_b - lo) / (hi - lo)))
-    for _ in range(options.starts):
-        coords.append(
-            (
-                float(rng.uniform(sa_lo, sa_hi)),
-                float(rng.uniform(sb_lo, sb_hi)),
-                float(rng.uniform(0.0, 1.0)),
-            )
-        )
-
-    def clamp_coord(sa: float, sb: float, frac: float):
-        return (
-            min(max(sa, sa_lo), sa_hi),
-            min(max(sb, sb_lo), sb_hi),
-            min(max(frac, 0.0), 1.0),
-        )
-
-    def objective(coord):
-        alphas = alphas_from(*coord)
-        if alphas is None or not alpha_ok(alphas):
-            return (math.inf, math.inf, math.inf), None, None
-        max_resid, total_interf, pairs = score(alphas)
-        slack = abs(coord[0]) + abs(coord[1])
-        return (max_resid, total_interf, slack), alphas, pairs
-
-    best_coord = None
-    best_key = (math.inf, math.inf, math.inf)
-    for coord in coords:
-        coord = clamp_coord(*coord)
-        key, alphas, pairs = objective(coord)
-        if key < best_key:
-            best_key, best_coord = key, coord
-
-    if best_coord is None:
-        best_coord = (0.0, 0.0, 0.5)
-
-    # deterministic pattern search around the best start
-    step = (0.25 * max(sa_hi - sa_lo, 1e-3), 0.25 * max(sb_hi - sb_lo, 1e-3), 0.25)
-    for _ in range(options.refine_rounds):
-        improved = False
-        for axis in range(3):
-            for direction in (1.0, -1.0):
-                trial = list(best_coord)
-                trial[axis] += direction * step[axis]
-                trial = clamp_coord(*trial)
-                key, _, _ = objective(trial)
-                if key < best_key:
-                    best_key, best_coord = key, trial
-                    improved = True
-        if not improved:
-            step = tuple(s * 0.5 for s in step)
-
-    _, alphas, pairs = objective(best_coord)
-    pair_params = {}
-    for key, alpha, (m2, beta, phi) in zip(PAIR_KEYS, alphas, pairs):
-        pair_params[key] = PairParams(
-            m2=m2, n2=1.0 - m2, alpha=min(max(alpha, 0.0), 1.0), beta=beta, phi_rad=phi
-        )
-    params = GeneralFockParams(
-        ab=pair_params["AB"],
-        abp=pair_params["ABp"],
-        apb=pair_params["ApB"],
-        apbp=pair_params["ApBp"],
+    base = [a1_bound(key, 0.0, 1.0) for key in PAIR_KEYS]  # every alpha >= 0
+    box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a), max(-delta, -mu_b), min(delta, 1.0 - mu_b))
+    weights = {k: abs(targets[k] - avgs[k]) for k in PAIR_KEYS}
+    movable = [k for k in PAIR_KEYS if weights[k] > _EPS]
+    subsets = sorted(
+        (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
+        key=lambda subset: -sum(weights[k] for k in subset),
     )
-    residual = max(
-        abs(p.value - targets[k]) for k, p in eval_general_record(record, params).items()
-    )
-    return FitResult(
-        params=params,
-        residual=residual,
-        feasible=residual <= options.tolerance,
-        family=FeasibleSet(
+    level, points = None, []  # the heaviest feasible weight level and its points
+    for subset in subsets:
+        weight = sum(weights[k] for k in subset)
+        if level is not None and weight < level - _EPS:
+            break
+        point = _least_slack_point(
+            base
+            + [a1_bound(k, targets[k], math.copysign(1.0, targets[k] - avgs[k])) for k in subset],
+            box,
+        )
+        if point is not None:
+            level = weight if level is None else level
+            points.append(point)
+
+    _, sa, sb, a1 = min(points)  # the empty subset is always feasible at sa = sb = 0
+    ma, mb = mu_a + sa, mu_b + sb
+    alphas = (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
+    pairs = [
+        _solve_pair(targets[key], avgs[key], alpha, interfs[key])
+        for key, alpha in zip(PAIR_KEYS, alphas)
+    ]
+    return result(
+        alphas,
+        pairs,
+        FeasibleSet(
             kind="curve",
             note="alpha simplex slice within the marginal slack; "
             "canonical = least-interference representative",
         ),
-        policy="min-interference",
-        tolerance=options.tolerance,
-        seed=options.seed,
     )
 
 

@@ -51,6 +51,10 @@ GOLDEN_PLOT = ("stats_fit_uniform11.svg", ["stats-fit", "--input", "data/uniform
 def run_cli(args, *, env_extra=None, stdin_text=None, cwd=None):
     env = dict(os.environ)
     env.pop("QCM_TOLERANCE", None)
+    # the child may run in another cwd, where a relative PYTHONPATH=src is lost
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH")))
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -284,6 +288,46 @@ def two_sector_grid_check(
         # value, which the dense grid must approach
         assert grid_best <= result.residual + 1e-12
         assert result.residual <= grid_best + 10.0 * grid_step
+
+
+def general_fit_interference(result) -> float:
+    """Total interference sum(n2 * |beta * cos(phi)|) of a general fit."""
+    params = result.params
+    return sum(
+        pair.n2 * abs(pair.beta * math.cos(pair.phi_rad))
+        for pair in (params.ab, params.abp, params.apb, params.apbp)
+    )
+
+
+def general_fit_grid_oracle(record: MembershipRecord, n: int = 13, slack: float = 0.05) -> float:
+    """Least total interference over an n^3 grid of the general fit's alpha slice.
+
+    The slice is parameterized by marginal shifts (sa, sb) within the slack
+    and frac placing alpha_AB in its feasible interval.  A pair costs
+    nothing when its target lies between its alpha and its marginal
+    average, and |target - average| otherwise.
+    """
+    mu_a, mu_b, mu_ap, mu_bp = record.mu_a, record.mu_b, record.mu_ap, record.mu_bp
+    targets = (record.mu_a_and_b, record.mu_a_and_bp, record.mu_ap_and_b, record.mu_ap_and_bp)
+    avgs = ((mu_a + mu_b) / 2, (mu_a + mu_bp) / 2, (mu_ap + mu_b) / 2, (mu_ap + mu_bp) / 2)
+    steps = [i / (n - 1) for i in range(n)]
+    sa_lo, sa_hi = max(-slack, -mu_a), min(slack, 1.0 - mu_a)
+    sb_lo, sb_hi = max(-slack, -mu_b), min(slack, 1.0 - mu_b)
+    best = math.inf
+    for u in steps:
+        ma = mu_a + sa_lo + u * (sa_hi - sa_lo)
+        for v in steps:
+            mb = mu_b + sb_lo + v * (sb_hi - sb_lo)
+            lo, hi = max(0.0, ma + mb - 1.0), min(ma, mb)
+            for frac in steps:
+                a1 = lo + frac * (hi - lo)
+                alphas = (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
+                best = min(best, sum(
+                    0.0 if min(alpha, avg) - 1e-12 <= target <= max(alpha, avg) + 1e-12
+                    else abs(target - avg)
+                    for alpha, avg, target in zip(alphas, avgs, targets)
+                ))
+    return best
 
 
 def nearest_product_oracle(matrix: np.ndarray, iterations: int = 200) -> float:

@@ -16,6 +16,7 @@ from conftest import (
     assert_matches_golden,
     run_cli,
 )
+from qcm.cli import main
 
 JSON_SCHEMA_RUNS = [
     ("classicality_report.json", ["classicality", "--input", "data/goldfish.csv"]),
@@ -183,6 +184,21 @@ class TestToleranceControls:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.0", "-5"])
+    def test_non_positive_or_non_finite_tolerance_rejected(
+        self, monkeypatch, capsys, source, value
+    ):
+        argv = ["classicality", "--input", str(DATA_DIR / "goldfish.csv"), "--output", "json"]
+        if source == "flag":
+            argv.append(f"--tolerance={value}")
+        else:
+            monkeypatch.setenv("QCM_TOLERANCE", value)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err.lower()
+
 
 class TestReportManifest:
     def test_paths_resolve_relative_to_manifest(self, tmp_path):
@@ -216,6 +232,16 @@ class TestRequiredSubstrings:
     def test_stats_winner_line(self):
         proc = run_cli(["stats-fit", "--input", "data/uniform11.json"])
         assert "winner BE" in proc.stdout
+
+    def test_general_fit_seed_is_only_echoed(self, capsys):
+        args = ["fock-fit", "--input", str(DATA_DIR / "goldfish.csv"), "--mode", "general"]
+        for output, echo in (("text", "seed: {}"), ("json", '"seed": {},')):
+            assert main([*args, "--seed", "0", "--output", output]) == 0
+            zero = capsys.readouterr().out
+            assert main([*args, "--seed", "7", "--output", output]) == 0
+            seven = capsys.readouterr().out
+            assert echo.format(0) in zero
+            assert seven == zero.replace(echo.format(0), echo.format(7), 1)
 
     def test_negative_zero_never_printed(self):
         # formatting rounds tiny negatives to -0.0000 unless normalized
