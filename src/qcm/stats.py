@@ -13,15 +13,19 @@ deterministic golden-section search (16-start for the MB family, whose
 RSS need not be unimodal).  Model comparison uses the Gaussian
 least-squares BIC ``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and
 nobs = N + 1.
+
+The regression's confidence interval needs one Student-t quantile.  Its
+degrees of freedom are always the integer n - 1, for which the CDF is a
+finite sum (Abramowitz & Stegun 26.7.3 for odd, 26.7.4 for even df); the
+quantile inverts that sum by bisection, so only ``math`` is needed.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy.stats import t as _student_t
 
 from .data import CountDataset
 from .errors import DataValidationError, InsufficientDataError
@@ -252,6 +256,47 @@ class RegressionResult:
             raise DataValidationError("confidence interval does not bracket the mean")
 
 
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 2 (A&S 26.7.3, 26.7.4)."""
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = total = 1.0
+    for k in range(2, df - 1, 2):
+        term *= cos2 * (k - 1 + odd) / (k + odd)
+        total += term
+    if odd:
+        return (theta + math.sin(theta) * math.cos(theta) * total) * 2.0 / math.pi
+    return math.sin(theta) * total
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# the bit pattern of 2.0**64, where the CDF rounds to 1.0 for every df >= 2
+_QUANTILE_TOP = struct.unpack("<q", struct.pack("<d", 2.0**64))[0]
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    """The t with P(|T| <= t) = confidence, i.e. the (1 + confidence) / 2 quantile.
+
+    Bisects the bit patterns of (0, 2**64], which order like the doubles
+    they encode, so at most 63 halvings pin the crossing to one ulp.  Two
+    confidences make the same comparisons up to the first that differs,
+    after which the larger one's bracket lies above, so the quantile never
+    decreases as confidence rises, even where the CDF's last bits are noise.
+    """
+    lo, hi = 0, _QUANTILE_TOP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _t_two_sided(_double(mid), df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+    return _double(hi)
+
+
 def linear_regression(
     xs: Sequence[float], ys: Sequence[float], confidence: float = 0.95
 ) -> RegressionResult:
@@ -277,9 +322,7 @@ def linear_regression(
     ss_tot = sum((y - y_mean) ** 2 for y in ys)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     variance = ss_tot / (n - 1)
-    half_width = float(_student_t.ppf((1.0 + confidence) / 2.0, n - 1)) * math.sqrt(
-        variance / n
-    )
+    half_width = _t_quantile(confidence, n - 1) * math.sqrt(variance / n)
     return RegressionResult(
         slope=slope,
         intercept=intercept,

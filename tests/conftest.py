@@ -48,13 +48,19 @@ GOLDEN_RUNS = {
 GOLDEN_PLOT = ("stats_fit_uniform11.svg", ["stats-fit", "--input", "data/uniform11.json"])
 
 
-def run_cli(args, *, env_extra=None, stdin_text=None, cwd=None):
+def child_env() -> dict[str, str]:
+    """This process's environment for a child python, minus QCM_TOLERANCE."""
     env = dict(os.environ)
     env.pop("QCM_TOLERANCE", None)
     # the child may run in another cwd, where a relative PYTHONPATH=src is lost
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH")))
     )
+    return env
+
+
+def run_cli(args, *, env_extra=None, stdin_text=None, cwd=None):
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

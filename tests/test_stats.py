@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT, child_env
 from qcm import (
     BicComparison,
     CountDataset,
@@ -26,6 +28,7 @@ from qcm import (
     parse_count_datasets,
     pmf_vector,
 )
+from qcm.stats import _t_quantile
 
 
 def load_dataset(name):
@@ -282,6 +285,58 @@ class TestLinearRegression:
         with pytest.raises(DataValidationError, match="confidence"):
             linear_regression([1, 2, 3], [1, 2, 3], confidence=1.5)
 
+    def test_half_width_matches_textbook_t_value(self):
+        # df = 2: P(|T| <= t) = t / sqrt(2 + t^2), so t = c * sqrt(2 / (1 - c^2)) exactly
+        t_975_2 = 0.95 * math.sqrt(2.0 / (1.0 - 0.95**2))
+        assert t_975_2 == pytest.approx(4.302652729749462, rel=1e-15)
+        result = linear_regression([1, 2, 3], [1.0, 3.0, 2.0], confidence=0.95)
+        # ys have mean 2 and sample variance 1, so the half-width is t / sqrt(3)
+        half_width = (result.ci_high - result.ci_low) / 2.0
+        assert half_width == pytest.approx(t_975_2 / math.sqrt(3.0), rel=1e-12)
+
+
+class TestStudentTQuantile:
+    def test_matches_scipy(self):
+        from scipy.stats import t as student_t  # test-only oracle
+
+        for df in [*range(2, 401), 1000, 5000]:
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                expected = student_t.ppf((1.0 + confidence) / 2.0, df)
+                assert _t_quantile(confidence, df) == pytest.approx(expected, rel=1e-10), (
+                    df, confidence,
+                )
+
+    def test_df_two_closed_form_at_extremes(self):
+        # scipy's (1 + c) / 2 loses tiny confidences; at df = 2 the exact value is known.
+        # Near c = 1 the CDF is flat, so its last-bit rounding moves t by ~1e-7 relative.
+        for confidence in (5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-9):
+            exact = confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+            assert _t_quantile(confidence, 2) == pytest.approx(exact, rel=1e-6)
+
+
+EDGE_CONFIDENCES = st.floats(
+    min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+) | st.sampled_from([5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    df=st.integers(min_value=2, max_value=500),
+    confidence=EDGE_CONFIDENCES,
+    other=EDGE_CONFIDENCES,
+    ulps=st.integers(min_value=0, max_value=3),
+)
+def test_t_quantile_finite_positive_and_monotone(df, confidence, other, ulps):
+    # compare with an independent confidence and with one a few ulps above
+    nearby = confidence
+    for _ in range(ulps):
+        nearby = min(math.nextafter(nearby, 1.0), math.nextafter(1.0, 0.0))
+    quantile = _t_quantile(confidence, df)
+    assert 0.0 < quantile < math.inf
+    assert quantile <= _t_quantile(nearby, df)
+    lower, upper = sorted((confidence, other))
+    assert 0.0 < _t_quantile(lower, df) <= _t_quantile(upper, df) < math.inf
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -295,3 +350,19 @@ def test_pmf_always_a_distribution(family, p1, n_total):
     assert len(vector) == n_total + 1
     assert sum(vector) == pytest.approx(1.0, abs=1e-9)
     assert all(v >= -1e-15 for v in vector)
+
+
+def test_qcm_runs_without_importing_scipy():
+    # scipy.stats costs ~1 s of import; qcm must not load it, even while running
+    probe = (
+        "import sys, qcm\n"
+        "assert 'scipy' not in sys.modules, 'import qcm loaded scipy'\n"
+        "from qcm import cli\n"
+        "assert cli.main(['classicality', '--input', 'data/goldfish.csv']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'classicality loaded scipy'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=child_env(), cwd=REPO_ROOT,
+    )
+    assert done.returncode == 0, done.stderr
