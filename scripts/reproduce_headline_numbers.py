@@ -3,8 +3,12 @@
 
 Covers the CHSH value and its expectation quadruple, the marginal-law
 violations, the Goldfish deviation profile and general-model fit, the
-Mint/Sunglasses two-sector fits, and the MB/BE closed-form checks.  Run
-from anywhere; prints one section per analysis.
+Mint/Sunglasses two-sector fits, and the MB/BE closed-form checks, one
+printed section per analysis.  ``qcm`` must be importable: from the
+repository root run ``PYTHONPATH=src python3
+scripts/reproduce_headline_numbers.py``, or install the package first.
+The bundled data is found relative to this file, so any working
+directory will do once ``qcm`` imports.
 """
 
 from pathlib import Path

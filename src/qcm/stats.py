@@ -10,9 +10,13 @@ instances between two states:
 
 Fits minimize the residual sum of squares over p1 in [0, 1] with a
 deterministic golden-section search (16-start for the MB family, whose
-RSS need not be unimodal).  Model comparison uses the Gaussian
-least-squares BIC ``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and
-nobs = N + 1.
+RSS need not be unimodal).  Each fit tabulates its dataset once (for MB,
+the N+1 binomial coefficients as floats), so an RSS evaluation does no
+big-integer work; its terms repeat the pmf's float operations in order,
+so the RSS matches one computed from ``pmf_vector`` bit for bit.
+
+Model comparison uses the Gaussian least-squares BIC
+``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and nobs = N + 1.
 
 The regression's confidence interval needs one Student-t quantile.  Its
 degrees of freedom are always the integer n - 1, for which the CDF is a
@@ -22,6 +26,7 @@ quantile inverts that sum by bisection, so only ``math`` is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -138,6 +143,36 @@ def _bic(rss: float, nobs: int) -> float:
     return nobs * math.log(max(rss, _RSS_FLOOR) / nobs) + math.log(nobs)
 
 
+def _rss_evaluator(
+    family: str, big_n: int, observed: tuple[float, ...]
+) -> Callable[[float], float]:
+    """RSS against ``observed`` as a function of p1, tabulated once per dataset.
+
+    Each term repeats ``mb_pmf``/``be_pmf``'s float operations in their order
+    (an int times a float rounds the int to float first), so every value
+    equals ``sum((p - o) ** 2 for p, o in zip(pmf_vector(params), observed))``
+    bit for bit.
+    """
+    if family == "MB":
+        rows = tuple(
+            (float(math.comb(big_n, n)), n, big_n - n, o) for n, o in enumerate(observed)
+        )
+
+        def rss_at(p1: float) -> float:
+            q = 1.0 - p1
+            return sum((c * p1**n * q**m - o) ** 2 for c, n, m, o in rows)
+
+    else:
+        scale = big_n * (big_n + 1) / 2
+        rows = tuple((n, big_n - n, o) for n, o in enumerate(observed))
+
+        def rss_at(p1: float) -> float:
+            q = 1.0 - p1
+            return sum(((n * p1 + m * q) / scale - o) ** 2 for n, m, o in rows)
+
+    return rss_at
+
+
 def fit_distribution(data: CountDataset, family: str) -> DistFit:
     """Least-squares fit of p1 for one family against observed frequencies."""
     if family not in FAMILIES:
@@ -145,10 +180,7 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
     observed = data.observed
     big_n = data.n_total
     nobs = big_n + 1
-
-    def rss_at(p1: float) -> float:
-        params = DistParams(family, p1, big_n)
-        return sum((p - o) ** 2 for p, o in zip(pmf_vector(params), observed))
+    rss_at = _rss_evaluator(family, big_n, observed)
 
     if family == "BE":
         # RSS is quadratic in p1: one golden-section pass suffices
@@ -278,6 +310,7 @@ def _double(bits: int) -> float:
 _QUANTILE_TOP = struct.unpack("<q", struct.pack("<d", 2.0**64))[0]
 
 
+@functools.lru_cache
 def _t_quantile(confidence: float, df: int) -> float:
     """The t with P(|T| <= t) = confidence, i.e. the (1 + confidence) / 2 quantile.
 
@@ -286,6 +319,8 @@ def _t_quantile(confidence: float, df: int) -> float:
     confidences make the same comparisons up to the first that differs,
     after which the larger one's bracket lies above, so the quantile never
     decreases as confidence rises, even where the CDF's last bits are noise.
+    Each bisection step costs O(df), so results are cached: a regression
+    over several quantities of one sample asks for the same quantile each time.
     """
     lo, hi = 0, _QUANTILE_TOP
     while hi - lo > 1:

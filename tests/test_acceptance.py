@@ -9,6 +9,8 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,8 +19,10 @@ import pytest
 from conftest import (
     GOLDEN_PLOT,
     GOLDEN_RUNS,
+    REPO_ROOT,
     assert_matches_golden,
     born_product_table,
+    child_env,
     local_model_table,
     random_joint_record,
     run_cli,
@@ -218,3 +222,15 @@ def test_cli_outputs_byte_match_goldens(tmp_path):
         proc = run_cli([*args, "--plot", str(target)])
         assert proc.returncode == 0, proc.stderr
         assert_matches_golden(svg_name, target.read_text(encoding="utf-8"))
+
+
+def test_headline_script_runs_outside_the_repo(tmp_path):
+    with criterion("the headline-numbers script runs to the end from another cwd"):
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_headline_numbers.py")],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        section = done.stdout.split("== distribution statistics ==\n", 1)[1]
+        assert "BE(N=11, p1=0.5): uniform = True" in section
+        assert "uniform data: winner BE (delta BIC = 542.7, p1 = 0.5000)" in section

@@ -26,6 +26,7 @@ from qcm import (
     parse_membership_table,
     profile_statistics,
 )
+from qcm.stats import _t_quantile
 
 
 class TestConjunction:
@@ -196,6 +197,18 @@ class TestProfileStatistics:
         assert stats["iA"].slope == pytest.approx(-0.1, abs=1e-12)
         assert stats["iA"].r2 == pytest.approx(1.0, abs=1e-12)
         assert stats["iA"].mean == pytest.approx(-0.3, abs=1e-12)
+
+    def test_quantile_evaluated_once_per_call(self):
+        # every quantity shares (confidence, n - 1); each bisection step is O(df)
+        rng = random.Random(5)
+        profiles = [deviation_profile(random_joint_record(rng, i)) for i in range(7)]
+        _t_quantile.cache_clear()
+        profile_statistics(profiles, confidence=0.9)
+        info = _t_quantile.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(PROFILE_KEYS) - 1
+        # the cached value is the one a fresh evaluation gives
+        assert _t_quantile(0.9, 6) == _t_quantile.__wrapped__(0.9, 6)
 
 
 class TestReferenceBands:

@@ -124,7 +124,7 @@ class TestGoldenSection:
 
 
 class TestFitDistribution:
-    @pytest.mark.parametrize("n_total", [7, 8, 9, 11])
+    @pytest.mark.parametrize("n_total", [7, 8, 9, 11, 50, 100, 300])
     @pytest.mark.parametrize("family", ["MB", "BE"])
     @pytest.mark.parametrize("p1", [0.07, 0.31, 0.5, 0.93])
     def test_recovers_planted_parameter(self, n_total, family, p1):
@@ -336,6 +336,22 @@ def test_t_quantile_finite_positive_and_monotone(df, confidence, other, ulps):
     assert quantile <= _t_quantile(nearby, df)
     lower, upper = sorted((confidence, other))
     assert 0.0 < _t_quantile(lower, df) <= _t_quantile(upper, df) < math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["MB", "BE"]),
+    weights=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=61
+    ).filter(lambda ws: sum(ws) > 0.0),
+)
+def test_fit_rss_is_bit_identical_to_pmf_vector(family, weights):
+    # the fit's tabulated evaluator must not drift from the public pmf
+    total = sum(weights)
+    observed = tuple(w / total for w in weights)
+    dataset = CountDataset(category="drawn", n_total=len(observed) - 1, observed=observed)
+    fit = fit_distribution(dataset, family)
+    assert fit.rss == sum((p - o) ** 2 for p, o in zip(pmf_vector(fit.params), dataset.observed))
 
 
 @settings(max_examples=80, deadline=None)
