@@ -16,11 +16,10 @@ exactly on (-0.5, -0.5, -0.5, -0.5, -1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .data import MembershipRecord
+from .data import MembershipRecord, _check_unit_interval
 from .errors import DataValidationError, InsufficientDataError
 from .stats import RegressionResult, linear_regression
 
@@ -38,13 +37,6 @@ REFERENCE_MEAN_BANDS: Mapping[str, tuple[float, float]] = {
     "iBp": (-0.40, -0.26),
     "iTotal": (-0.97, -0.64),
 }
-
-
-def _check_probability(value: float, label: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label}={value!r} outside [0, 1]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -70,9 +62,9 @@ def check_conjunction(
     min_rule = mu(A and B) - min(mu(A), mu(B));
     kolmogorov = mu(A) + mu(B) - mu(A and B) - 1.
     """
-    mu_a = _check_probability(mu_a, "muA")
-    mu_b = _check_probability(mu_b, "muB")
-    mu_a_and_b = _check_probability(mu_a_and_b, "muAandB")
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
+    mu_a_and_b = _check_unit_interval(mu_a_and_b, "muAandB")
     residuals = {
         "min_rule": mu_a_and_b - min(mu_a, mu_b),
         "kolmogorov": mu_a + mu_b - mu_a_and_b - 1.0,
@@ -89,9 +81,9 @@ def check_disjunction(
     max_rule = max(mu(A), mu(B)) - mu(A or B);
     kolmogorov = -(mu(A) + mu(B) - mu(A or B)).
     """
-    mu_a = _check_probability(mu_a, "muA")
-    mu_b = _check_probability(mu_b, "muB")
-    mu_a_or_b = _check_probability(mu_a_or_b, "muAorB")
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
+    mu_a_or_b = _check_unit_interval(mu_a_or_b, "muAorB")
     residuals = {
         "max_rule": max(mu_a, mu_b) - mu_a_or_b,
         "kolmogorov": -(mu_a + mu_b - mu_a_or_b),

@@ -7,31 +7,30 @@ comparisons, optional reference-model verification), ``stats-fit``
 (MB vs BE distribution fits with BIC comparison), and ``report`` (a
 combined run driven by a manifest file).
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error.  Text
-output renders floats at 4 decimals (round half to even) so reports are
-byte-stable; JSON output keeps full precision.  The environment variable
-QCM_TOLERANCE overrides per-command default tolerances; an explicit
---tolerance flag wins over the environment.
+Each command builds its report once, as the JSON payload; ``--output
+text`` renders the text from that payload.  Text renders floats at 4
+decimals (round half to even) so reports are byte-stable; JSON keeps full
+precision and never holds NaN or infinities.
+
+Exit codes: 0 success, 1 bad data or usage (a ``QcmError``), 2 I/O error;
+any other exception is a bug and keeps its traceback.  QCM_TOLERANCE
+overrides per-command default tolerances; --tolerance wins over it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
 from . import classicality as cls
 from . import fock, hilbert, stats, svg
-from .data import (
-    BLOCKS,
-    MembershipRecord,
-    parse_coincidence,
-    parse_count_datasets,
-    parse_membership_table,
-)
+from .data import _load_json, parse_coincidence, parse_count_datasets, parse_membership_table
 from .errors import DataValidationError, QcmError
 
 _PROG = "qcm"
@@ -78,25 +77,42 @@ def _input_name(path: str) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{_input_name(path)}: not valid UTF-8: {exc}") from None
+    except ValueError as exc:  # open() refuses a path holding NUL or a lone surrogate
+        raise DataValidationError(f"input path {path!r}: {exc}") from None
 
 
-def _membership_format(path: str, flag: str | None) -> str:
-    if flag is not None:
-        return flag
-    if path != "-" and path.lower().endswith(".json"):
-        return "json"
-    return "csv"
+def _read_membership(args) -> list:
+    fmt = args.format
+    if fmt is None:
+        fmt = "json" if args.input != "-" and args.input.lower().endswith(".json") else "csv"
+    return parse_membership_table(_read_input(args.input), format=fmt)
 
 
-def _record_title(index: int, record: MembershipRecord) -> str:
-    return (
-        f"[{index}] {record.exemplar} "
-        f"({record.concept_a} / {record.concept_b})"
-    )
+def _fields(obj) -> dict:
+    """A dataclass's fields, in order, under camelCase keys (m2_min -> m2Min)."""
+    return {
+        re.sub(r"_(.)", lambda m: m.group(1).upper(), f.name): getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+    }
+
+
+def _record_payload(record) -> dict:
+    return {
+        "exemplar": record.exemplar,
+        "conceptA": record.concept_a,
+        "conceptB": record.concept_b,
+    }
+
+
+def _record_title(index: int, entry: dict) -> str:
+    return f"[{index}] {entry['exemplar']} ({entry['conceptA']} / {entry['conceptB']})"
 
 
 # ---------------------------------------------------------------- classicality
@@ -105,112 +121,60 @@ def _record_title(index: int, record: MembershipRecord) -> str:
 def _verdict_payload(verdict: cls.ClassicalityVerdict) -> dict:
     return {
         "satisfied": verdict.satisfied,
-        "residuals": {name: value for name, value in verdict.residuals.items()},
+        "residuals": dict(verdict.residuals),
     }
 
 
-def _verdict_lines(label: str, verdict: cls.ClassicalityVerdict) -> list[str]:
-    lines = [f"  {label}: {'satisfied' if verdict.satisfied else 'violated'}"]
-    for name, value in verdict.residuals.items():
-        lines.append(f"    {name} = {_fmt(value)}")
-    return lines
-
-
-def _cmd_classicality(args) -> tuple[str, dict, list[svg.Chart]]:
+def _cmd_classicality(args) -> tuple[dict, list[svg.Chart]]:
+    if not 0.0 < args.confidence < 1.0:  # also false for NaN
+        raise DataValidationError(f"--confidence must be in (0, 1), got {args.confidence!r}")
     tolerance = _resolve_tolerance(args.tolerance, cls.DEFAULT_TOLERANCE)
-    fmt = _membership_format(args.input, args.format)
-    records = parse_membership_table(_read_input(args.input), format=fmt)
+    records = _read_membership(args)
     name = _input_name(args.input)
 
-    lines = [
-        f"classicality report: {name}",
-        f"tolerance: {tolerance!r}",
-        f"records: {len(records)}",
-    ]
     entries = []
     profiles = []
-    profile_series = []
-    for index, record in enumerate(records, start=1):
-        lines.append("")
-        lines.append(_record_title(index, record))
+    for record in records:
         entry = {
-            "exemplar": record.exemplar,
-            "conceptA": record.concept_a,
-            "conceptB": record.concept_b,
+            **_record_payload(record),
             "conjunction": None,
             "disjunction": None,
             "negation": None,
             "deviationProfile": None,
         }
         if record.has("muAandB"):
-            verdict = cls.check_conjunction(
-                record.mu_a, record.mu_b, record.mu_a_and_b, tolerance
+            entry["conjunction"] = _verdict_payload(
+                cls.check_conjunction(record.mu_a, record.mu_b, record.mu_a_and_b, tolerance)
             )
-            entry["conjunction"] = _verdict_payload(verdict)
-            lines.extend(_verdict_lines("conjunction", verdict))
         if record.has("muAorB"):
-            verdict = cls.check_disjunction(
-                record.mu_a, record.mu_b, record.mu_a_or_b, tolerance
+            entry["disjunction"] = _verdict_payload(
+                cls.check_disjunction(record.mu_a, record.mu_b, record.mu_a_or_b, tolerance)
             )
-            entry["disjunction"] = _verdict_payload(verdict)
-            lines.extend(_verdict_lines("disjunction", verdict))
         if record.negation_complete():
-            verdict = cls.check_negation(record, tolerance)
-            entry["negation"] = _verdict_payload(verdict)
-            lines.extend(_verdict_lines("negation", verdict))
+            entry["negation"] = _verdict_payload(cls.check_negation(record, tolerance))
             profile = cls.deviation_profile(record)
             profiles.append(profile)
-            profile_series.append(
-                svg.Series(
-                    label=record.exemplar,
-                    values=tuple(profile.as_dict()[k] for k in cls.PROFILE_KEYS),
-                )
-            )
             entry["deviationProfile"] = dict(profile.as_dict())
-            lines.append("  deviation profile:")
-            lines.append(
-                "    "
-                + "  ".join(
-                    f"{key} = {_fmt(value)}"
-                    for key, value in profile.as_dict().items()
-                )
-            )
         entries.append(entry)
 
-    lines.append("")
     statistics_payload = None
     if len(profiles) >= 3:
         statistics = cls.profile_statistics(profiles, confidence=args.confidence)
-        lines.append(
-            f"profile statistics (n = {len(profiles)}, "
-            f"confidence {args.confidence:g}):"
-        )
-        quantities = {}
-        for key in cls.PROFILE_KEYS:
-            reg = statistics[key]
-            quantities[key] = {
-                "mean": reg.mean,
-                "ciLow": reg.ci_low,
-                "ciHigh": reg.ci_high,
-                "slope": reg.slope,
-                "intercept": reg.intercept,
-                "r2": reg.r2,
-            }
-            lines.append(
-                f"  {key:<6} mean = {_fmt(reg.mean)}  "
-                f"ci = [{_fmt(reg.ci_low)}, {_fmt(reg.ci_high)}]  "
-                f"slope = {_fmt(reg.slope)}  r2 = {_fmt(reg.r2)}"
-            )
         statistics_payload = {
             "n": len(profiles),
             "confidence": args.confidence,
-            "quantities": quantities,
+            "quantities": {
+                key: {
+                    "mean": reg.mean,
+                    "ciLow": reg.ci_low,
+                    "ciHigh": reg.ci_high,
+                    "slope": reg.slope,
+                    "intercept": reg.intercept,
+                    "r2": reg.r2,
+                }
+                for key, reg in statistics.items()
+            },
         }
-    else:
-        lines.append(
-            "profile statistics: not computed "
-            f"(needs at least 3 complete records, have {len(profiles)})"
-        )
 
     payload = {
         "report": "classicality",
@@ -219,219 +183,208 @@ def _cmd_classicality(args) -> tuple[str, dict, list[svg.Chart]]:
         "records": entries,
         "profileStatistics": statistics_payload,
     }
-    charts = []
-    if profile_series:
-        charts.append(
-            svg.Chart(
-                title=f"deviation profiles: {name}",
-                categories=cls.PROFILE_KEYS,
-                series=tuple(profile_series),
-            )
+    series = tuple(
+        svg.Series(entry["exemplar"], tuple(entry["deviationProfile"].values()))
+        for entry in entries
+        if entry["deviationProfile"] is not None
+    )
+    chart = svg.Chart(f"deviation profiles: {name}", cls.PROFILE_KEYS, series)
+    return payload, [chart] if series else []
+
+
+def _render_classicality(payload: dict) -> list[str]:
+    entries = payload["records"]
+    lines = [
+        f"classicality report: {payload['input']}",
+        f"tolerance: {payload['tolerance']!r}",
+        f"records: {len(entries)}",
+    ]
+    for index, entry in enumerate(entries, start=1):
+        lines += ["", _record_title(index, entry)]
+        for label in ("conjunction", "disjunction", "negation"):
+            verdict = entry[label]
+            if verdict is not None:
+                lines.append(f"  {label}: {'satisfied' if verdict['satisfied'] else 'violated'}")
+                lines += [f"    {k} = {_fmt(v)}" for k, v in verdict["residuals"].items()]
+        profile = entry["deviationProfile"]
+        if profile is not None:
+            lines += [
+                "  deviation profile:",
+                "    " + "  ".join(f"{key} = {_fmt(value)}" for key, value in profile.items()),
+            ]
+
+    lines.append("")
+    statistics = payload["profileStatistics"]
+    if statistics is None:
+        have = sum(entry["deviationProfile"] is not None for entry in entries)
+        lines.append(
+            "profile statistics: not computed "
+            f"(needs at least 3 complete records, have {have})"
         )
-    return "\n".join(lines) + "\n", payload, charts
+        return lines
+    lines.append(
+        f"profile statistics (n = {statistics['n']}, "
+        f"confidence {statistics['confidence']:g}):"
+    )
+    for key, reg in statistics["quantities"].items():
+        lines.append(
+            f"  {key:<6} mean = {_fmt(reg['mean'])}  "
+            f"ci = [{_fmt(reg['ciLow'])}, {_fmt(reg['ciHigh'])}]  "
+            f"slope = {_fmt(reg['slope'])}  r2 = {_fmt(reg['r2'])}"
+        )
+    return lines
 
 
 # -------------------------------------------------------------------- fock-fit
 
 
-def _fit_two_sector_entry(
-    record: MembershipRecord, connective: str, policy: fock.FitPolicy
-) -> tuple[dict, fock.FitResult, float]:
-    column = "muAandB" if connective == "and" else "muAorB"
-    target = record.value(column)
-    result = fock.fit_two_sector(record.mu_a, record.mu_b, target, connective, policy)
-    params = result.params
-    evaluate = fock.eval_conjunction if connective == "and" else fock.eval_disjunction
-    predicted = evaluate(record.mu_a, record.mu_b, params)
-    family = result.family
-    entry = {
-        "exemplar": record.exemplar,
-        "conceptA": record.concept_a,
-        "conceptB": record.concept_b,
-        "connective": connective,
-        "muA": record.mu_a,
-        "muB": record.mu_b,
-        "target": target,
-        "m2": params.m2,
-        "n2": params.n2,
-        "thetaDeg": params.theta_deg,
-        "predicted": predicted.value,
-        "inRange": predicted.in_range,
-        "residual": result.residual,
-        "feasible": result.feasible,
-        "solutionSet": {
-            "kind": family.kind,
-            "m2Min": family.m2_min,
-            "m2Max": family.m2_max,
-            "note": family.note,
-        },
-    }
-    return entry, result, predicted.value
-
-
-def _cmd_fock_fit(args) -> tuple[str, dict, list[svg.Chart]]:
+def _cmd_fock_fit(args) -> tuple[dict, list[svg.Chart]]:
     tolerance = _resolve_tolerance(args.tolerance, fock.FIT_TOLERANCE)
-    fmt = _membership_format(args.input, args.format)
-    records = parse_membership_table(_read_input(args.input), format=fmt)
+    records = _read_membership(args)
     name = _input_name(args.input)
 
+    fits = []
     if args.mode == "two-sector":
+        setting = {"policy": args.policy}
         policy = fock.FitPolicy(name=args.policy, tolerance=tolerance)
-        lines = [
-            f"fock fit report: {name}",
-            "mode: two-sector",
-            f"policy: {args.policy}",
-            f"tolerance: {tolerance!r}",
-        ]
-        fits = []
-        labels = []
-        targets = []
-        predictions = []
-        index = 0
         for record in records:
-            for connective, column in (("and", "muAandB"), ("or", "muAorB")):
+            for connective, column, evaluate in (
+                ("and", "muAandB", fock.eval_conjunction),
+                ("or", "muAorB", fock.eval_disjunction),
+            ):
                 if not record.has(column):
                     continue
-                index += 1
-                entry, result, predicted = _fit_two_sector_entry(
-                    record, connective, policy
+                target = record.value(column)
+                result = fock.fit_two_sector(
+                    record.mu_a, record.mu_b, target, connective, policy
                 )
-                fits.append(entry)
-                labels.append(f"{record.exemplar} ({connective})")
-                targets.append(entry["target"])
-                predictions.append(predicted)
-                lines.append("")
-                lines.append(
-                    f"{_record_title(index, record)} {connective}: "
-                    f"muA = {_fmt(record.mu_a)}  muB = {_fmt(record.mu_b)}  "
-                    f"target = {_fmt(entry['target'])}"
+                params = result.params
+                predicted = evaluate(record.mu_a, record.mu_b, params)
+                fits.append(
+                    {
+                        **_record_payload(record),
+                        "connective": connective,
+                        "muA": record.mu_a,
+                        "muB": record.mu_b,
+                        "target": target,
+                        "m2": params.m2,
+                        "n2": params.n2,
+                        "thetaDeg": params.theta_deg,
+                        "predicted": predicted.value,
+                        "inRange": predicted.in_range,
+                        "residual": result.residual,
+                        "feasible": result.feasible,
+                        "solutionSet": _fields(result.family),
+                    }
                 )
-                lines.append(
-                    f"  m2 = {_fmt(entry['m2'])}  n2 = {_fmt(entry['n2'])}  "
-                    f"theta = {_fmt(entry['thetaDeg'])} deg"
-                )
-                range_flag = "" if entry["inRange"] else "  [outside [0, 1]]"
-                lines.append(
-                    f"  predicted = {_fmt(predicted)}{range_flag}  "
-                    f"residual = {_fmt(entry['residual'])}  "
-                    f"feasible: {_yesno(entry['feasible'])}"
-                )
-                solution = entry["solutionSet"]
-                if solution["kind"] == "empty":
-                    lines.append(f"  solution set: empty ({solution['note']})")
-                else:
-                    lines.append(
-                        f"  solution set: {solution['kind']} with m2 in "
-                        f"[{_fmt(solution['m2Min'])}, {_fmt(solution['m2Max'])}]"
-                    )
-        lines.append("")
-        lines.append(f"fits: {index}")
-        payload = {
-            "report": "fock-fit",
-            "mode": "two-sector",
-            "input": name,
-            "policy": args.policy,
-            "tolerance": tolerance,
-            "fits": fits,
-        }
-        charts = []
-        if labels:
-            charts.append(
-                svg.Chart(
-                    title=f"two-sector fits: {name}",
-                    categories=tuple(labels),
-                    series=(
-                        svg.Series("target", tuple(targets)),
-                        svg.Series("predicted", tuple(predictions)),
+        chart = svg.Chart(
+            title=f"two-sector fits: {name}",
+            categories=tuple(f"{fit['exemplar']} ({fit['connective']})" for fit in fits),
+            series=(
+                svg.Series("target", tuple(fit["target"] for fit in fits)),
+                svg.Series("predicted", tuple(fit["predicted"] for fit in fits)),
+            ),
+        )
+    else:
+        setting = {"seed": args.seed}
+        for record in records:
+            if not (record.negation_complete() and record.has("muAandB")):
+                continue
+            result = fock.fit_general_quadruple(record, tolerance)
+            predictions = fock.eval_general_record(record, result.params)
+            pairs = {}
+            for key in fock.PAIR_KEYS:
+                pair = result.params.pair(key)
+                pairs[key] = {
+                    "m2": pair.m2,
+                    "n2": pair.n2,
+                    "alpha": pair.alpha,
+                    "beta": pair.beta,
+                    "phiDeg": pair.phi_deg,
+                    "predicted": predictions[key].value,
+                    "inRange": predictions[key].in_range,
+                }
+            fits.append(
+                {
+                    **_record_payload(record),
+                    "targets": dict(zip(fock.PAIR_KEYS, fock.joint_targets(record))),
+                    "maxResidual": result.residual,
+                    "feasible": result.feasible,
+                    "pairs": pairs,
+                }
+            )
+        chart = svg.Chart(
+            title=f"general fit residuals: {name}",
+            categories=fock.PAIR_KEYS,
+            series=tuple(
+                svg.Series(
+                    label=fit["exemplar"],
+                    values=tuple(
+                        abs(fit["pairs"][k]["predicted"] - fit["targets"][k])
+                        for k in fock.PAIR_KEYS
                     ),
                 )
-            )
-        return "\n".join(lines) + "\n", payload, charts
-
-    # general quadruple mode
-    lines = [
-        f"fock fit report: {name}",
-        "mode: general",
-        f"seed: {args.seed}",
-        f"tolerance: {tolerance!r}",
-    ]
-    fits = []
-    residual_series = []
-    index = 0
-    for record in records:
-        if not (record.negation_complete() and record.has("muAandB")):
-            continue
-        index += 1
-        result = fock.fit_general_quadruple(record, tolerance)
-        params = result.params
-        targets = dict(zip(fock.PAIR_KEYS, fock.joint_targets(record)))
-        predictions = fock.eval_general_record(record, params)
-        lines.append("")
-        lines.append(
-            f"{_record_title(index, record)}: targets "
-            + "  ".join(f"{k} = {_fmt(targets[k])}" for k in fock.PAIR_KEYS)
+                for fit in fits
+            ),
         )
-        lines.append(
-            f"  max residual = {_fmt(result.residual)}  "
-            f"feasible: {_yesno(result.feasible)}"
-        )
-        pair_payload = {}
-        for key in fock.PAIR_KEYS:
-            pair = params.pair(key)
-            predicted = predictions[key]
-            pair_payload[key] = {
-                "m2": pair.m2,
-                "n2": pair.n2,
-                "alpha": pair.alpha,
-                "beta": pair.beta,
-                "phiDeg": pair.phi_deg,
-                "predicted": predicted.value,
-                "inRange": predicted.in_range,
-            }
-            lines.append(
-                f"  {key:<4}: alpha = {_fmt(pair.alpha)}  m2 = {_fmt(pair.m2)}  "
-                f"beta = {_fmt(pair.beta)}  phi = {_fmt(pair.phi_deg)} deg  "
-                f"predicted = {_fmt(predicted.value)}"
-            )
-        residual_series.append(
-            svg.Series(
-                label=record.exemplar,
-                values=tuple(
-                    abs(predictions[k].value - targets[k]) for k in fock.PAIR_KEYS
-                ),
-            )
-        )
-        fits.append(
-            {
-                "exemplar": record.exemplar,
-                "conceptA": record.concept_a,
-                "conceptB": record.concept_b,
-                "targets": targets,
-                "maxResidual": result.residual,
-                "feasible": result.feasible,
-                "pairs": pair_payload,
-            }
-        )
-    lines.append("")
-    lines.append(f"fits: {index}")
     payload = {
         "report": "fock-fit",
-        "mode": "general",
+        "mode": args.mode,
         "input": name,
-        "seed": args.seed,
+        **setting,
         "tolerance": tolerance,
         "fits": fits,
     }
-    charts = []
-    if residual_series:
-        charts.append(
-            svg.Chart(
-                title=f"general fit residuals: {name}",
-                categories=fock.PAIR_KEYS,
-                series=tuple(residual_series),
-            )
-        )
-    return "\n".join(lines) + "\n", payload, charts
+    return payload, [chart] if fits else []
+
+
+def _render_fock_fit(payload: dict) -> list[str]:
+    two_sector = payload["mode"] == "two-sector"
+    lines = [
+        f"fock fit report: {payload['input']}",
+        f"mode: {payload['mode']}",
+        f"policy: {payload['policy']}" if two_sector else f"seed: {payload['seed']}",
+        f"tolerance: {payload['tolerance']!r}",
+    ]
+    for index, fit in enumerate(payload["fits"], start=1):
+        title = _record_title(index, fit)
+        if two_sector:
+            range_flag = "" if fit["inRange"] else "  [outside [0, 1]]"
+            solution = fit["solutionSet"]
+            if solution["kind"] == "empty":
+                solution_text = f"empty ({solution['note']})"
+            else:
+                solution_text = (
+                    f"{solution['kind']} with m2 in "
+                    f"[{_fmt(solution['m2Min'])}, {_fmt(solution['m2Max'])}]"
+                )
+            lines += [
+                "",
+                f"{title} {fit['connective']}: muA = {_fmt(fit['muA'])}  "
+                f"muB = {_fmt(fit['muB'])}  target = {_fmt(fit['target'])}",
+                f"  m2 = {_fmt(fit['m2'])}  n2 = {_fmt(fit['n2'])}  "
+                f"theta = {_fmt(fit['thetaDeg'])} deg",
+                f"  predicted = {_fmt(fit['predicted'])}{range_flag}  "
+                f"residual = {_fmt(fit['residual'])}  feasible: {_yesno(fit['feasible'])}",
+                f"  solution set: {solution_text}",
+            ]
+        else:
+            targets = fit["targets"]
+            lines += [
+                "",
+                f"{title}: targets "
+                + "  ".join(f"{k} = {_fmt(targets[k])}" for k in fock.PAIR_KEYS),
+                f"  max residual = {_fmt(fit['maxResidual'])}  "
+                f"feasible: {_yesno(fit['feasible'])}",
+            ]
+            for key, pair in fit["pairs"].items():
+                lines.append(
+                    f"  {key:<4}: alpha = {_fmt(pair['alpha'])}  m2 = {_fmt(pair['m2'])}  "
+                    f"beta = {_fmt(pair['beta'])}  phi = {_fmt(pair['phiDeg'])} deg  "
+                    f"predicted = {_fmt(pair['predicted'])}"
+                )
+    lines += ["", f"fits: {len(payload['fits'])}"]
+    return lines
 
 
 # ------------------------------------------------------------------------ chsh
@@ -445,64 +398,23 @@ _EXPECTATION_LABELS = {
 }
 
 
-def _cmd_chsh(args) -> tuple[str, dict, list[svg.Chart]]:
+def _cmd_chsh(args) -> tuple[dict, list[svg.Chart]]:
     tolerance = _resolve_tolerance(args.tolerance, 0.01)
     table = parse_coincidence(_read_input(args.input))
     name = _input_name(args.input)
     report = hilbert.expectations_from_table(table)
-    expectations = report.expectations()
-
-    lines = [f"chsh report: {name}", "", "expectation values:"]
-    for key in BLOCKS:
-        lines.append(f"  {_EXPECTATION_LABELS[key]:<9}= {_fmt(expectations[key])}")
-    lines.append("")
-    lines.append("combination: E(A',B') + E(A',B) + E(A,B') - E(A,B)")
-    lines.append(f"CHSH = {_fmt(report.chsh)}")
-    lines.append(
-        f"classical bound violated: {_yesno(report.classical_violated)} (|CHSH| > 2)"
-    )
-    lines.append(
-        f"tsirelson bound respected: {_yesno(report.tsirelson_respected)} "
-        f"(|CHSH| <= {_fmt(hilbert.TSIRELSON_BOUND)})"
-    )
-    lines.append(
-        "note: expectation values inherit the rounding of the input "
-        "probabilities; 3-decimal inputs make CHSH accurate to about +/- 0.005"
-    )
-
     comparisons = hilbert.marginal_law_check(table, tolerance=tolerance)
-    label_width = max(len(c.label) for c in comparisons)
-    lines.append("")
-    lines.append(f"marginal-law comparisons (tolerance {tolerance!r}):")
-    for c in comparisons:
-        status = "VIOLATED" if c.violated else "ok"
-        lines.append(
-            f"  {c.label:<{label_width}}  {c.block_a:<4} vs {c.block_b:<4}: "
-            f"{_fmt(c.lhs)} vs {_fmt(c.rhs)}  {status}"
-        )
-    violated = sum(c.violated for c in comparisons)
-    lines.append(f"violated: {violated} of {len(comparisons)}")
 
     payload = {
         "report": "chsh",
         "input": name,
-        "expectations": {key: expectations[key] for key in BLOCKS},
+        "expectations": report.expectations(),
         "chsh": report.chsh,
         "classicalBoundViolated": report.classical_violated,
         "tsirelsonBoundRespected": report.tsirelson_respected,
         "marginalTolerance": tolerance,
-        "marginalComparisons": [
-            {
-                "label": c.label,
-                "blockA": c.block_a,
-                "blockB": c.block_b,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "violated": c.violated,
-            }
-            for c in comparisons
-        ],
-        "marginalViolations": violated,
+        "marginalComparisons": [_fields(c) for c in comparisons],
+        "marginalViolations": sum(c.violated for c in comparisons),
         "model": None,
     }
 
@@ -511,86 +423,87 @@ def _cmd_chsh(args) -> tuple[str, dict, list[svg.Chart]]:
         verification = hilbert.verify_reference_model(
             model, table, hilbert.VerifyTolerances(marginal=tolerance)
         )
-        model_name = _input_name(args.model)
-        lines.append("")
-        lines.append(f"model verification: {model_name}")
-        name_width = max(len(item.name) for item in verification.checks)
-        for item in verification.checks:
-            status = "ok  " if item.passed else "FAIL"
-            lines.append(f"  {item.name:<{name_width}}  {status}  {item.detail}")
-        lines.append(f"all checks passed: {_yesno(verification.all_passed)}")
-        classification = verification.classification
-        lines.append(f"classification: {classification if classification else 'none'}")
         payload["model"] = {
-            "input": model_name,
+            "input": _input_name(args.model),
             "allPassed": verification.all_passed,
-            "classification": classification,
-            "checks": [
-                {"name": item.name, "passed": item.passed, "detail": item.detail}
-                for item in verification.checks
-            ],
+            "classification": verification.classification,
+            "checks": [_fields(item) for item in verification.checks],
         }
 
-    charts = [
-        svg.Chart(
-            title=f"expectation values: {name}",
-            categories=tuple(_EXPECTATION_LABELS[key] for key in BLOCKS),
-            series=(svg.Series("expectation", tuple(expectations[key] for key in BLOCKS)),),
-        )
+    chart = svg.Chart(
+        title=f"expectation values: {name}",
+        categories=tuple(_EXPECTATION_LABELS[key] for key in payload["expectations"]),
+        series=(svg.Series("expectation", tuple(payload["expectations"].values())),),
+    )
+    return payload, [chart]
+
+
+def _render_chsh(payload: dict) -> list[str]:
+    lines = [f"chsh report: {payload['input']}", "", "expectation values:"]
+    for key, value in payload["expectations"].items():
+        lines.append(f"  {_EXPECTATION_LABELS[key]:<9}= {_fmt(value)}")
+    comparisons = payload["marginalComparisons"]
+    label_width = max(len(c["label"]) for c in comparisons)
+    lines += [
+        "",
+        "combination: E(A',B') + E(A',B) + E(A,B') - E(A,B)",
+        f"CHSH = {_fmt(payload['chsh'])}",
+        f"classical bound violated: {_yesno(payload['classicalBoundViolated'])} (|CHSH| > 2)",
+        f"tsirelson bound respected: {_yesno(payload['tsirelsonBoundRespected'])} "
+        f"(|CHSH| <= {_fmt(hilbert.TSIRELSON_BOUND)})",
+        "note: expectation values inherit the rounding of the input "
+        "probabilities; 3-decimal inputs make CHSH accurate to about +/- 0.005",
+        "",
+        f"marginal-law comparisons (tolerance {payload['marginalTolerance']!r}):",
     ]
-    return "\n".join(lines) + "\n", payload, charts
+    for c in comparisons:
+        status = "VIOLATED" if c["violated"] else "ok"
+        lines.append(
+            f"  {c['label']:<{label_width}}  {c['blockA']:<4} vs {c['blockB']:<4}: "
+            f"{_fmt(c['lhs'])} vs {_fmt(c['rhs'])}  {status}"
+        )
+    lines.append(f"violated: {payload['marginalViolations']} of {len(comparisons)}")
+
+    model = payload["model"]
+    if model is not None:
+        lines += ["", f"model verification: {model['input']}"]
+        name_width = max(len(item["name"]) for item in model["checks"])
+        for item in model["checks"]:
+            status = "ok  " if item["passed"] else "FAIL"
+            lines.append(f"  {item['name']:<{name_width}}  {status}  {item['detail']}")
+        lines += [
+            f"all checks passed: {_yesno(model['allPassed'])}",
+            f"classification: {model['classification'] or 'none'}",
+        ]
+    return lines
 
 
 # ------------------------------------------------------------------- stats-fit
 
 
-def _fit_payload(fit: stats.DistFit) -> dict:
-    return {
-        "p1": fit.params.p1,
-        "rss": fit.rss,
-        "r2": fit.r2,
-        "bic": fit.bic,
-    }
-
-
-def _cmd_stats_fit(args) -> tuple[str, dict, list[svg.Chart]]:
+def _cmd_stats_fit(args) -> tuple[dict, list[svg.Chart]]:
     datasets = parse_count_datasets(_read_input(args.input))
     name = _input_name(args.input)
-    lines = [f"stats fit report: {name}"]
     entries = []
     charts = []
-    for index, dataset in enumerate(datasets, start=1):
+    for dataset in datasets:
         mb = stats.fit_distribution(dataset, "MB")
         be = stats.fit_distribution(dataset, "BE")
-        comparison = stats.compare_bic(mb, be)
-        lines.append("")
-        lines.append(
-            f"[{index}] {dataset.category} (N = {dataset.n_total}, "
-            f"states {dataset.state_labels[0]} / {dataset.state_labels[1]})"
-        )
-        for label, fit in (("MB", mb), ("BE", be)):
-            r2_text = "n/a" if fit.r2 is None else _fmt(fit.r2)
-            lines.append(
-                f"  {label}: p1 = {_fmt(fit.params.p1)}  rss = {_fmt(fit.rss)}  "
-                f"r2 = {r2_text}  bic = {_fmt(fit.bic)}"
-            )
-        lines.append(
-            f"  delta BIC (MB - BE) = {_fmt(comparison.delta_bic)}  "
-            f"winner {comparison.winner} ({comparison.strength})"
-        )
         entries.append(
             {
                 "category": dataset.category,
                 "N": dataset.n_total,
                 "stateLabels": list(dataset.state_labels),
-                "fits": {"MB": _fit_payload(mb), "BE": _fit_payload(be)},
-                "comparison": {
-                    "deltaBic": comparison.delta_bic,
-                    "winner": comparison.winner,
-                    "strength": comparison.strength,
+                "fits": {
+                    fit.params.family: {
+                        "p1": fit.params.p1, "rss": fit.rss, "r2": fit.r2, "bic": fit.bic
+                    }
+                    for fit in (mb, be)
                 },
+                "comparison": _fields(stats.compare_bic(mb, be)),
             }
         )
+        # the chart needs the observations and fitted pmfs, which the payload lacks
         charts.append(
             svg.Chart(
                 title=f"{dataset.category} (N = {dataset.n_total})",
@@ -602,10 +515,31 @@ def _cmd_stats_fit(args) -> tuple[str, dict, list[svg.Chart]]:
                 ),
             )
         )
-    lines.append("")
-    lines.append(f"datasets: {len(datasets)}")
     payload = {"report": "stats-fit", "input": name, "datasets": entries}
-    return "\n".join(lines) + "\n", payload, charts
+    return payload, charts
+
+
+def _render_stats_fit(payload: dict) -> list[str]:
+    lines = [f"stats fit report: {payload['input']}"]
+    for index, entry in enumerate(payload["datasets"], start=1):
+        first, second = entry["stateLabels"]
+        lines += [
+            "",
+            f"[{index}] {entry['category']} (N = {entry['N']}, states {first} / {second})",
+        ]
+        for label, fit in entry["fits"].items():
+            r2_text = "n/a" if fit["r2"] is None else _fmt(fit["r2"])
+            lines.append(
+                f"  {label}: p1 = {_fmt(fit['p1'])}  rss = {_fmt(fit['rss'])}  "
+                f"r2 = {r2_text}  bic = {_fmt(fit['bic'])}"
+            )
+        comparison = entry["comparison"]
+        lines.append(
+            f"  delta BIC (MB - BE) = {_fmt(comparison['deltaBic'])}  "
+            f"winner {comparison['winner']} ({comparison['strength']})"
+        )
+    lines += ["", f"datasets: {len(payload['datasets'])}"]
+    return lines
 
 
 # ---------------------------------------------------------------------- report
@@ -614,12 +548,8 @@ def _cmd_stats_fit(args) -> tuple[str, dict, list[svg.Chart]]:
 _MANIFEST_COMMANDS = ("classicality", "fock-fit", "chsh", "stats-fit")
 
 
-def _cmd_report(args) -> tuple[str, dict, list[svg.Chart]]:
-    manifest_text = _read_input(args.manifest)
-    try:
-        manifest = json.loads(manifest_text)
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"manifest: invalid JSON: {exc}")
+def _cmd_report(args) -> tuple[dict, list[svg.Chart]]:
+    manifest = _load_json(_read_input(args.manifest), "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
         raise DataValidationError("manifest: expected an object with a 'runs' array")
     base = "" if args.manifest == "-" else os.path.dirname(os.path.abspath(args.manifest))
@@ -629,8 +559,6 @@ def _cmd_report(args) -> tuple[str, dict, list[svg.Chart]]:
             return path
         return os.path.join(base, path)
 
-    name = _input_name(args.manifest)
-    lines = [f"combined report: {name}", f"runs: {len(manifest['runs'])}"]
     run_payloads = []
     all_charts: list[svg.Chart] = []
     for index, run in enumerate(manifest["runs"], start=1):
@@ -644,40 +572,44 @@ def _cmd_report(args) -> tuple[str, dict, list[svg.Chart]]:
         if "input" not in run:
             raise DataValidationError(f"manifest run {index}: missing 'input'")
         argv = [command, "--input", resolve(str(run["input"]))]
-        for key, flag in (
-            ("format", "--format"),
-            ("mode", "--mode"),
-            ("policy", "--policy"),
-            ("model", "--model"),
-            ("tolerance", "--tolerance"),
-            ("seed", "--seed"),
-        ):
+        for key in ("format", "mode", "policy", "model", "tolerance", "seed"):
             if key in run:
                 value = str(run[key])
-                argv.extend([flag, resolve(value) if key == "model" else value])
+                argv.extend([f"--{key}", resolve(value) if key == "model" else value])
+        name = run.get("name", f"run {index}")
+        if not isinstance(name, str):
+            raise DataValidationError(f"manifest run {index}: 'name' must be a string")
         sub_args = _build_parser().parse_args(argv)
-        text, payload, charts = _DISPATCH[command](sub_args)
-        run_name = run.get("name", f"run {index}")
-        lines.append("")
-        lines.append(f"=== {run_name}: {command} {_input_name(str(run['input']))} ===")
-        lines.append(text.rstrip("\n"))
-        run_payloads.append(
-            {"name": run_name, "command": command, "report": payload}
-        )
+        payload, charts = _COMMANDS[command][0](sub_args)
+        run_payloads.append({"name": name, "command": command, "report": payload})
         all_charts.extend(charts)
-    payload = {"report": "combined", "manifest": name, "runs": run_payloads}
-    return "\n".join(lines) + "\n", payload, all_charts
+    payload = {
+        "report": "combined",
+        "manifest": _input_name(args.manifest),
+        "runs": run_payloads,
+    }
+    return payload, all_charts
+
+
+def _render_combined(payload: dict) -> list[str]:
+    lines = [f"combined report: {payload['manifest']}", f"runs: {len(payload['runs'])}"]
+    for run in payload["runs"]:
+        report = run["report"]
+        lines += ["", f"=== {run['name']}: {run['command']} {report['input']} ==="]
+        lines += _COMMANDS[run["command"]][1](report)
+    return lines
 
 
 # ---------------------------------------------------------------------- driver
 
 
-_DISPATCH = {
-    "classicality": _cmd_classicality,
-    "fock-fit": _cmd_fock_fit,
-    "chsh": _cmd_chsh,
-    "stats-fit": _cmd_stats_fit,
-    "report": _cmd_report,
+# command -> (function making its payload and charts, text renderer of that payload)
+_COMMANDS = {
+    "classicality": (_cmd_classicality, _render_classicality),
+    "fock-fit": (_cmd_fock_fit, _render_fock_fit),
+    "chsh": (_cmd_chsh, _render_chsh),
+    "stats-fit": (_cmd_stats_fit, _render_stats_fit),
+    "report": (_cmd_report, _render_combined),
 }
 
 
@@ -685,11 +617,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description="concept-combination analysis toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, with_plot=True):
+    def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--tolerance", type=float, default=None)
-        if with_plot:
-            p.add_argument("--plot", default=None, metavar="SVG_PATH")
+        p.add_argument("--plot", default=None, metavar="SVG_PATH")
 
     p = sub.add_parser(
         "classicality", help="representability checks for a membership table"
@@ -729,18 +660,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(None if argv is None else list(argv))
         if args.command is None:
-            raise UsageError(f"{parser.format_usage()}{_PROG}: error: a command is required")
-        text, payload, charts = _DISPATCH[args.command](args)
+            parser.error("a command is required")
+        build, render = _COMMANDS[args.command]
+        payload, charts = build(args)
         if args.output == "json":
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write("\n".join(render(payload)) + "\n")
         if getattr(args, "plot", None):
             with open(args.plot, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(svg.render(charts))
@@ -751,9 +681,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"{exc}\n")
         return 1
     except QcmError as exc:
-        sys.stderr.write(f"{_PROG}: error: {exc}\n")
-        return 1
-    except (ValueError, KeyError) as exc:
         sys.stderr.write(f"{_PROG}: error: {exc}\n")
         return 1
     except OSError as exc:

@@ -1,13 +1,11 @@
 """Core data types and dataset ingestion.
 
-Four dataset shapes are supported:
+Three dataset shapes are supported:
 
 * membership tables (CSV or JSON): one row per exemplar with membership
   weights for two concepts, their negations, and their combinations;
 * coincidence tables (JSON): four joint-measurement blocks of four signed
   outcomes each, the shape of a CHSH experiment;
-* state-context-property models (JSON): finite state/context/property sets
-  with explicit transition and applicability weights;
 * count datasets (JSON): relative frequencies over the N+1 occupation
   splits of N identical instances between two states.
 
@@ -32,16 +30,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import IO, Iterable, Literal, Mapping
+from dataclasses import dataclass
+from typing import IO, Iterable, Literal
 
-from .errors import (
-    DataValidationError,
-    IncompleteRecordError,
-    SchemaError,
-    UnknownLabelError,
-)
+from .errors import DataValidationError, IncompleteRecordError, SchemaError
 
 MEMBERSHIP_COLUMNS = (
     "exemplar",
@@ -103,13 +95,26 @@ def _read_text(source: bytes | str | IO[bytes] | IO[str]) -> str:
 
 def _load_json(text: str, what: str):
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        # a string holding an unpaired surrogate escape cannot be encoded as text
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON: {exc}") from None
+    except (RecursionError, UnicodeEncodeError) as exc:
+        raise SchemaError(f"{what}: unsupported JSON: {exc}") from None
+    return doc
+
+
+def _to_float(value, label: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataValidationError(f"{label}={value!r:.40} is not a number") from None
 
 
 def _check_unit_interval(value: float, label: str) -> float:
-    value = float(value)
+    """The one range check for weights and probabilities: a finite float in [0, 1]."""
+    value = _to_float(value, label)
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise DataValidationError(f"{label}={value!r} outside [0, 1]")
     return value
@@ -266,7 +271,7 @@ def _membership_from_json(text: str) -> list[MembershipRecord]:
             else:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise DataValidationError(f"{context}: {key} must be a number")
-                fields[key] = float(value)
+                fields[key] = value
         records.append(_record_from_fields(fields, context))
     return records
 
@@ -409,7 +414,7 @@ def parse_coincidence(source: bytes | str | IO[bytes] | IO[str]) -> CoincidenceT
                         first=str(entry["first"]),
                         second=str(entry["second"]),
                         sign=sign,
-                        p=float(entry["p"]),
+                        p=entry["p"],
                     )
                 )
             except DataValidationError as exc:
@@ -434,141 +439,6 @@ def serialize_coincidence(table: CoincidenceTable) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-@dataclass(frozen=True, eq=False)
-class ScopModel:
-    """Finite state-context-property store.
-
-    ``transitions`` maps (target q, context e, source p) to the probability
-    of landing on q when context e acts on state p; ``applicability`` maps
-    (state, property) to a weight in [0, 1].  Every stored (context, source)
-    group must be a complete distribution (sums to 1 within 1e-9).
-    """
-
-    states: tuple[str, ...]
-    contexts: tuple[str, ...]
-    properties: tuple[str, ...]
-    ground_state: str
-    transitions: Mapping[tuple[str, str, str], float]
-    applicability: Mapping[tuple[str, str], float]
-
-    SUM_TOLERANCE = 1e-9
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "contexts", tuple(self.contexts))
-        object.__setattr__(self, "properties", tuple(self.properties))
-        if self.ground_state not in states:
-            raise DataValidationError(
-                f"ground state {self.ground_state!r} not in the state set"
-            )
-        known_states = set(states)
-        known_contexts = set(self.contexts)
-        known_properties = set(self.properties)
-        transitions = dict(self.transitions)
-        group_sums: dict[tuple[str, str], float] = {}
-        for (target, context, source), prob in transitions.items():
-            for state, what in ((target, "target"), (source, "source")):
-                if state not in known_states:
-                    raise DataValidationError(f"transition {what} state {state!r} unknown")
-            if context not in known_contexts:
-                raise DataValidationError(f"transition context {context!r} unknown")
-            _check_unit_interval(prob, f"transition ({target},{context},{source})")
-            group_sums[(context, source)] = group_sums.get((context, source), 0.0) + prob
-        for (context, source), total in group_sums.items():
-            if abs(total - 1.0) > self.SUM_TOLERANCE:
-                raise DataValidationError(
-                    f"transition distribution for context {context!r} on state "
-                    f"{source!r} sums to {total!r}, not 1"
-                )
-        applicability = dict(self.applicability)
-        for (state, prop), weight in applicability.items():
-            if state not in known_states:
-                raise DataValidationError(f"applicability state {state!r} unknown")
-            if prop not in known_properties:
-                raise DataValidationError(f"applicability property {prop!r} unknown")
-            _check_unit_interval(weight, f"applicability ({state},{prop})")
-        object.__setattr__(self, "transitions", MappingProxyType(transitions))
-        object.__setattr__(self, "applicability", MappingProxyType(applicability))
-
-
-def scop_transition(model: ScopModel, from_state: str, ctx: str) -> dict[str, float]:
-    """Distribution over target states when ``ctx`` acts on ``from_state``.
-
-    Returns a map over the full state set (unstored targets get 0.0);
-    the values sum to 1 within 1e-9 by construction.
-    """
-    if from_state not in model.states:
-        raise UnknownLabelError(f"unknown state {from_state!r}")
-    if ctx not in model.contexts:
-        raise UnknownLabelError(f"unknown context {ctx!r}")
-    result = {
-        state: model.transitions.get((state, ctx, from_state), 0.0)
-        for state in model.states
-    }
-    if not any((state, ctx, from_state) in model.transitions for state in model.states):
-        raise UnknownLabelError(
-            f"no transition distribution stored for state {from_state!r} "
-            f"under context {ctx!r}"
-        )
-    return result
-
-
-def scop_applicability(model: ScopModel, state: str, prop: str) -> float:
-    if state not in model.states:
-        raise UnknownLabelError(f"unknown state {state!r}")
-    if prop not in model.properties:
-        raise UnknownLabelError(f"unknown property {prop!r}")
-    return model.applicability.get((state, prop), 0.0)
-
-
-def parse_scop(source: bytes | str | IO[bytes] | IO[str]) -> ScopModel:
-    doc = _load_json(_read_text(source), "scop model")
-    if not isinstance(doc, dict):
-        raise SchemaError("scop model: expected a JSON object")
-    for key in ("states", "groundState", "contexts", "properties"):
-        if key not in doc:
-            raise SchemaError(f"scop model: missing key {key!r}")
-    transitions = {}
-    for entry in doc.get("transitions", []):
-        if not isinstance(entry, dict) or not {"from", "context", "to", "p"} <= set(entry):
-            raise SchemaError("scop model: transition needs keys from/context/to/p")
-        transitions[(str(entry["to"]), str(entry["context"]), str(entry["from"]))] = float(
-            entry["p"]
-        )
-    applicability = {}
-    for entry in doc.get("applicability", []):
-        if not isinstance(entry, dict) or not {"state", "property", "weight"} <= set(entry):
-            raise SchemaError("scop model: applicability needs keys state/property/weight")
-        applicability[(str(entry["state"]), str(entry["property"]))] = float(entry["weight"])
-    return ScopModel(
-        states=tuple(str(s) for s in doc["states"]),
-        contexts=tuple(str(c) for c in doc["contexts"]),
-        properties=tuple(str(p) for p in doc["properties"]),
-        ground_state=str(doc["groundState"]),
-        transitions=transitions,
-        applicability=applicability,
-    )
-
-
-def serialize_scop(model: ScopModel) -> bytes:
-    doc = {
-        "states": list(model.states),
-        "groundState": model.ground_state,
-        "contexts": list(model.contexts),
-        "properties": list(model.properties),
-        "transitions": [
-            {"from": source, "context": context, "to": target, "p": prob}
-            for (target, context, source), prob in sorted(model.transitions.items())
-        ],
-        "applicability": [
-            {"state": state, "property": prop, "weight": weight}
-            for (state, prop), weight in sorted(model.applicability.items())
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
 @dataclass(frozen=True)
 class CountDataset:
     """Observed relative frequencies over the N+1 occupation splits.
@@ -589,7 +459,10 @@ class CountDataset:
             raise DataValidationError(
                 f"dataset {self.category!r}: N must be an integer >= 1, got {self.n_total!r}"
             )
-        observed = tuple(float(v) for v in self.observed)
+        observed = tuple(
+            _to_float(v, f"dataset {self.category!r}: observed[{n}]")
+            for n, v in enumerate(self.observed)
+        )
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         if len(self.state_labels) != 2:
@@ -628,6 +501,8 @@ def parse_count_datasets(source: bytes | str | IO[bytes] | IO[str]) -> list[Coun
         n_total = item["N"]
         if isinstance(n_total, bool) or not isinstance(n_total, int):
             raise DataValidationError(f"count dataset {index}: N must be an integer")
+        if not isinstance(item["observed"], list):
+            raise SchemaError(f"count dataset {index}: observed must be an array")
         labels = item.get("stateLabels", ["state1", "state2"])
         if not isinstance(labels, list) or len(labels) != 2:
             raise SchemaError(f"count dataset {index}: stateLabels must be a pair")
@@ -635,7 +510,7 @@ def parse_count_datasets(source: bytes | str | IO[bytes] | IO[str]) -> list[Coun
             CountDataset(
                 category=str(item["category"]),
                 n_total=n_total,
-                observed=tuple(float(v) for v in item["observed"]),
+                observed=tuple(item["observed"]),
                 state_labels=(str(labels[0]), str(labels[1])),
             )
         )

@@ -20,10 +20,6 @@ class SchemaError(QcmError):
     """A document's structure does not match the expected schema."""
 
 
-class UnknownLabelError(QcmError):
-    """Lookup of a state/context/property label absent from the model."""
-
-
 class IncompleteRecordError(QcmError):
     """A record lacks a field required by the requested analysis."""
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Literal
 
-from .data import MembershipRecord
+from .data import MembershipRecord, _check_unit_interval
 from .errors import DataValidationError
 
 Connective = Literal["and", "or"]
@@ -40,21 +40,14 @@ FIT_TOLERANCE = 1e-9
 _EPS = 1e-12
 
 
-def _check_probability(value: float, label: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{label}={value!r} outside [0, 1]")
-    return value
-
-
 def interference_magnitude(mu_x: float, mu_y: float) -> float:
     """Coefficient multiplying cos(theta) in the sector-1 prediction.
 
     sqrt(1-mu_x) * sqrt(1-mu_y) when mu_x + mu_y > 1, else
     sqrt(mu_x) * sqrt(mu_y).
     """
-    mu_x = _check_probability(mu_x, "muX")
-    mu_y = _check_probability(mu_y, "muY")
+    mu_x = _check_unit_interval(mu_x, "muX")
+    mu_y = _check_unit_interval(mu_y, "muY")
     if mu_x + mu_y > 1.0:
         return math.sqrt((1.0 - mu_x) * (1.0 - mu_y))
     return math.sqrt(mu_x * mu_y)
@@ -77,10 +70,7 @@ class FockParams:
 
     def __post_init__(self):
         for name in ("m2", "n2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise DataValidationError(f"{name}={value!r} outside [0, 1]")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_unit_interval(getattr(self, name), name))
         if abs(self.m2 + self.n2 - 1.0) > 1e-9:
             raise DataValidationError(
                 f"sector weights must sum to 1: m2={self.m2!r}, n2={self.n2!r}"
@@ -146,8 +136,8 @@ def eval_conjunction(mu_a: float, mu_b: float, params: FockParams) -> Prediction
     """m2 * mu_a mu_b + n2 * ((mu_a+mu_b)/2 + I cos theta)."""
     if params.connective != "and":
         raise ValueError("eval_conjunction needs params with connective 'and'")
-    mu_a = _check_probability(mu_a, "muA")
-    mu_b = _check_probability(mu_b, "muB")
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
     return _eval(mu_a, mu_b, params)
 
 
@@ -155,8 +145,8 @@ def eval_disjunction(mu_a: float, mu_b: float, params: FockParams) -> Prediction
     """m2 * (mu_a + mu_b - mu_a mu_b) + n2 * ((mu_a+mu_b)/2 + I cos theta)."""
     if params.connective != "or":
         raise ValueError("eval_disjunction needs params with connective 'or'")
-    mu_a = _check_probability(mu_a, "muA")
-    mu_b = _check_probability(mu_b, "muB")
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
     return _eval(mu_a, mu_b, params)
 
 
@@ -237,8 +227,8 @@ def eval_general(
     ``mu_x, mu_y`` must be the marginals matching ``which`` (for ApB pass
     mu(A'), mu(B)).
     """
-    mu_x = _check_probability(mu_x, "muX")
-    mu_y = _check_probability(mu_y, "muY")
+    mu_x = _check_unit_interval(mu_x, "muX")
+    mu_y = _check_unit_interval(mu_y, "muY")
     pair = params.pair(which)
     sector1 = (mu_x + mu_y) / 2.0 + pair.beta * math.cos(pair.phi_rad)
     return _flagged(pair.m2 * pair.alpha + pair.n2 * sector1)
@@ -328,9 +318,9 @@ def fit_two_sector(
     form.  Infeasibility is a result state (feasible=False with the
     least-residual parameters), not an error.
     """
-    mu_a = _check_probability(mu_a, "muA")
-    mu_b = _check_probability(mu_b, "muB")
-    target = _check_probability(target, "target")
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
+    target = _check_unit_interval(target, "target")
     if connective not in ("and", "or"):
         raise ValueError(f"connective must be 'and' or 'or', got {connective!r}")
     tol = policy.tolerance

@@ -24,7 +24,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .data import BLOCKS, CoincidenceTable, _load_json, _read_text
+from .data import BLOCKS, CoincidenceTable, _load_json, _read_text, _to_float
 from .errors import DataValidationError, SchemaError
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -339,17 +339,32 @@ class HilbertModel:
         object.__setattr__(self, "operators", operators)
 
 
+# a unit state and +-1 observables have entries of modulus <= 1; far larger
+# ones, and infinities or NaN, would overflow the checks' arithmetic
+_MAX_MODEL_NUMBER = 1e6
+
+
+def _model_number(value, context: str) -> float:
+    number = _to_float(value, context)
+    if not abs(number) <= _MAX_MODEL_NUMBER:  # also false for NaN
+        raise DataValidationError(
+            f"{context}: {number!r} is not a finite number within +-{_MAX_MODEL_NUMBER:g}"
+        )
+    return number
+
+
 def _parse_complex(value, context: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_model_number(value, context), 0.0)
     if isinstance(value, dict):
         if {"re", "im"} <= set(value):
-            return complex(float(value["re"]), float(value["im"]))
-        if {"mod", "argDeg"} <= set(value):
-            arg = math.radians(float(value["argDeg"]))
             return complex(
-                float(value["mod"]) * math.cos(arg), float(value["mod"]) * math.sin(arg)
+                _model_number(value["re"], context), _model_number(value["im"], context)
             )
+        if {"mod", "argDeg"} <= set(value):
+            arg = math.radians(_model_number(value["argDeg"], context))
+            mod = _model_number(value["mod"], context)
+            return complex(mod * math.cos(arg), mod * math.sin(arg))
     raise SchemaError(
         f"{context}: complex numbers must be a number, {{re, im}}, or {{mod, argDeg}}"
     )

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .data import CountDataset
+from .data import CountDataset, _check_unit_interval
 from .errors import DataValidationError, InsufficientDataError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -84,10 +84,7 @@ class DistParams:
             raise DataValidationError(f"unknown family {self.family!r} (expected MB or BE)")
         if not isinstance(self.n_total, int) or isinstance(self.n_total, bool) or self.n_total < 1:
             raise DataValidationError(f"N must be an integer >= 1, got {self.n_total!r}")
-        p1 = float(self.p1)
-        if not math.isfinite(p1) or not 0.0 <= p1 <= 1.0:
-            raise DataValidationError(f"p1={self.p1!r} outside [0, 1]")
-        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p1", _check_unit_interval(self.p1, "p1"))
 
 
 def _check_n(params: DistParams, n: int) -> None:

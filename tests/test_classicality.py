@@ -58,7 +58,7 @@ class TestConjunction:
         assert not check_conjunction(0.87, 0.81, 0.9, tolerance=0.05).satisfied
 
     def test_rejects_out_of_range_weight(self):
-        with pytest.raises(ValueError, match="muAandB"):
+        with pytest.raises(DataValidationError, match="muAandB"):
             check_conjunction(0.5, 0.5, 1.2)
 
 

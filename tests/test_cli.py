@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import io
 import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
+    GOLDEN_PAYLOAD_RUNS,
     GOLDEN_PLOT,
     GOLDEN_RUNS,
     REPO_ROOT,
     assert_matches_golden,
     run_cli,
 )
+from qcm import cli
 from qcm.cli import main
 
 JSON_SCHEMA_RUNS = [
@@ -41,6 +48,10 @@ JSON_SCHEMA_RUNS = [
 ]
 
 
+# a JSON integer too large for a float
+_HUGE_INT = "1" + "0" * 400
+
+
 def load_schema(name):
     text = resources.files("qcm").joinpath("schemas", name).read_text(encoding="utf-8")
     return json.loads(text)
@@ -52,6 +63,16 @@ def test_text_output_matches_golden(golden_name):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert_matches_golden(golden_name, proc.stdout)
+
+
+@pytest.mark.parametrize("golden_name", sorted(GOLDEN_PAYLOAD_RUNS))
+def test_payload_output_matches_golden(golden_name, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
+    assert main(GOLDEN_PAYLOAD_RUNS[golden_name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert_matches_golden(golden_name, captured.out)
 
 
 def test_plot_output_matches_golden(tmp_path):
@@ -116,6 +137,87 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "row 2" in proc.stderr and "muB" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--input", "--model", "--manifest"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"runs": []}\xff\n')
+        table = str(DATA_DIR / "animal_acts_table.json")
+        argv = {
+            "--input": ["classicality", "--input", str(bad)],
+            "--model": ["chsh", "--input", table, "--model", str(bad)],
+            "--manifest": ["report", "--manifest", str(bad)],
+        }[flag]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad.json: not valid UTF-8" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("stats-fit", '{"category": "x", "N": 1, "observed": 5}'),
+            ("stats-fit", '{"category": "x", "N": 1, "observed": [null, 1]}'),
+            ("stats-fit", '{"category": "x", "N": 1, "observed": ["a", 1]}'),
+            ("stats-fit", '{"category": "x", "N": 1, "observed": [%s, 0]}' % _HUGE_INT),
+            ("classicality", '[{"exemplar": "x", "muA": %s, "muB": 0, "muAorB": 0}]' % _HUGE_INT),
+            ("classicality", '[{"exemplar": "\\ud800", "muA": 0, "muB": 0, "muAorB": 0}]'),
+            ("classicality", "[" * 100_000 + "]" * 100_000),
+            ("report", '{"runs": [{"command": ["chsh"], "input": "x"}]}'),
+            ("report", '{"runs": [{"command": "chsh", "input": "x\\u0000"}]}'),
+            ("report", '{"runs": [{"command": "chsh", "input": "x", "name": NaN}]}'),
+        ],
+        ids=[
+            "observed-not-array", "observed-null", "observed-string", "observed-huge-int",
+            "weight-huge-int", "lone-surrogate", "deep-nesting", "command-array", "path-nul",
+            "name-not-string",
+        ],
+    )
+    def test_malformed_values_are_data_errors(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        flag = "--manifest" if command == "report" else "--input"
+        assert main([command, flag, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("qcm: error: ")
+
+    @pytest.mark.parametrize("value", ["abc", None, [0.5]])
+    def test_malformed_coincidence_probability_is_data_error(self, tmp_path, capsys, value):
+        table = json.loads((DATA_DIR / "animal_acts_table.json").read_text())
+        table["AB"][0]["p"] = value
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        assert main(["chsh", "--input", str(path)]) == 1
+        assert "block AB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value",
+        [1e300, float("inf"), float("nan"), {"re": "abc", "im": 0}, {"mod": 1, "argDeg": 1e999}],
+    )
+    def test_model_numbers_must_be_finite_and_bounded(self, tmp_path, capsys, value):
+        model = json.loads((DATA_DIR / "animal_acts_model.json").read_text())
+        model["state"][0] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        table = str(DATA_DIR / "animal_acts_table.json")
+        assert main(["chsh", "--input", table, "--model", str(path)]) == 1
+        assert "state[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "1", "1.5"])
+    def test_confidence_outside_open_unit_interval_rejected(self, capsys, value):
+        # goldfish has one complete record, so no statistics use the confidence
+        argv = ["classicality", "--input", str(DATA_DIR / "goldfish.csv"), "--confidence", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--confidence" in captured.err
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a data error")
+
+        monkeypatch.setattr(cli.fock, "fit_two_sector", broken)
+        with pytest.raises(ValueError, match="not a data error"):
+            main(["fock-fit", "--input", str(DATA_DIR / "hampton.csv")])
 
     def test_help_exits_zero(self):
         for args in (["--help"], ["fock-fit", "--help"]):
@@ -247,3 +349,73 @@ class TestRequiredSubstrings:
         # formatting rounds tiny negatives to -0.0000 unless normalized
         proc = run_cli(["fock-fit", "--input", "data/hampton.csv"])
         assert "-0.0000" not in proc.stdout
+
+
+# every bundled input with the invocations that read it; "{}" is the mutated copy
+_FUZZ_TARGETS = {
+    "goldfish.csv": [
+        ["classicality", "--input", "{}"],
+        ["fock-fit", "--input", "{}", "--mode", "general"],
+    ],
+    "hampton.csv": [["fock-fit", "--input", "{}"], ["classicality", "--input", "{}"]],
+    "negation_demo.csv": [
+        ["classicality", "--input", "{}", "--format", "json"],
+        ["fock-fit", "--input", "{}", "--mode", "general"],
+    ],
+    "animal_acts_table.json": [["chsh", "--input", "{}"], ["stats-fit", "--input", "{}"]],
+    "animal_acts_model.json": [
+        ["chsh", "--input", "{dir}/animal_acts_table.json", "--model", "{}"],
+    ],
+    "uniform11.json": [["stats-fit", "--input", "{}"], ["classicality", "--input", "{}"]],
+    "mb_exact_n9.json": [["stats-fit", "--input", "{}"]],
+    "report_manifest.json": [["report", "--manifest", "{}"]],
+}
+
+_MUTATION = st.tuples(
+    st.sampled_from(("replace", "insert", "delete")),
+    st.integers(min_value=0, max_value=4096),
+    st.binary(min_size=1, max_size=3),
+)
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    for kind, position, chunk in mutations:
+        at = position % (len(raw) + 1)
+        if kind == "replace":
+            raw = raw[:at] + chunk + raw[at + len(chunk):]
+        elif kind == "insert":
+            raw = raw[:at] + chunk + raw[at:]
+        else:
+            raw = raw[:at] + raw[at + len(chunk):]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A copy of the bundled data, so mutated manifests resolve their inputs."""
+    target = tmp_path_factory.mktemp("fuzz")
+    for name in _FUZZ_TARGETS:
+        shutil.copy(DATA_DIR / name, target / name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("QCM_TOLERANCE", raising=False)
+        yield target
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(sorted(_FUZZ_TARGETS)),
+    pick=st.integers(min_value=0, max_value=1),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=4),
+    output=st.sampled_from(("text", "json")),
+)
+def test_mutated_inputs_exit_cleanly(fuzz_dir, name, pick, mutations, output):
+    """Malformed bytes, including invalid UTF-8, end in exit 0, 1 or 2, never a traceback."""
+    mutated = fuzz_dir / f"mutated.{name.rsplit('.', 1)[1]}"
+    mutated.write_bytes(_mutate((DATA_DIR / name).read_bytes(), mutations))
+    runs = _FUZZ_TARGETS[name]
+    argv = [
+        arg.replace("{dir}", str(fuzz_dir)).replace("{}", str(mutated))
+        for arg in runs[pick % len(runs)]
+    ]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([*argv, "--output", output]) in (0, 1, 2)

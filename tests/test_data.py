@@ -20,17 +20,12 @@ from qcm import (
     IncompleteRecordError,
     MembershipRecord,
     SchemaError,
-    UnknownLabelError,
     parse_coincidence,
     parse_count_datasets,
     parse_membership_table,
-    parse_scop,
-    scop_applicability,
-    scop_transition,
     serialize_coincidence,
     serialize_count_datasets,
     serialize_membership_table,
-    serialize_scop,
 )
 
 
@@ -181,54 +176,6 @@ class TestCoincidenceTable:
 
     def test_round_trip(self, animal_table):
         assert parse_coincidence(serialize_coincidence(animal_table)) == animal_table
-
-
-@pytest.fixture(scope="module")
-def model():
-    return parse_scop(DATA_DIR.joinpath("scop_example.json").read_bytes())
-
-
-class TestScopModel:
-    def test_parse_bundled(self, model):
-        assert model.ground_state == "ground"
-        assert "the-animal-acts" in model.contexts
-
-    def test_transition_returns_full_distribution(self, model):
-        dist = scop_transition(model, "ground", "the-animal-acts")
-        assert set(dist) == set(model.states)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-        assert dist["horse-acting"] == 0.55
-
-    def test_transition_zero_fill(self, model):
-        dist = scop_transition(model, "horse-acting", "the-animal-acts")
-        assert dist["horse-acting"] == 1.0
-        assert dist["ground"] == 0.0
-
-    def test_unknown_label_errors(self, model):
-        with pytest.raises(UnknownLabelError):
-            scop_transition(model, "no-such-state", "the-animal-acts")
-        with pytest.raises(UnknownLabelError):
-            scop_transition(model, "ground", "no-such-context")
-        # known labels but no stored transition group
-        with pytest.raises(UnknownLabelError):
-            scop_transition(model, "bear-acting", "the-animal-is-a-pet")
-
-    def test_applicability(self, model):
-        assert scop_applicability(model, "ground", "makes-a-sound") == 0.81
-        with pytest.raises(UnknownLabelError):
-            scop_applicability(model, "ground", "no-such-property")
-
-    def test_incomplete_transition_group_rejected(self, model):
-        doc = json.loads(serialize_scop(model))
-        doc["transitions"][0]["p"] = 0.2  # group now sums to 0.65
-        with pytest.raises(DataValidationError):
-            parse_scop(json.dumps(doc))
-
-    def test_round_trip(self, model):
-        again = parse_scop(serialize_scop(model))
-        assert again.states == model.states
-        assert dict(again.transitions) == dict(model.transitions)
-        assert dict(again.applicability) == dict(model.applicability)
 
 
 class TestCountDataset:

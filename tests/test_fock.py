@@ -243,6 +243,23 @@ class TestTwoSectorFit:
         miss = fit_two_sector(0.0, 0.0, 0.2, "and")
         assert not miss.feasible and miss.family.kind == "empty"
 
+    @pytest.mark.parametrize(
+        "call, label",
+        [
+            (lambda: fit_two_sector(0.5, 0.5, 1.2, "and"), "target"),
+            (lambda: fit_two_sector(math.nan, 0.5, 0.3, "or"), "muA"),
+            (lambda: interference_magnitude(0.2, -0.1), "muY"),
+            (
+                lambda: eval_conjunction(0.5, math.inf, FockParams.from_degrees(0.5, 90.0, "and")),
+                "muB",
+            ),
+        ],
+        ids=["fit-target", "fit-nan", "magnitude", "evaluate-inf"],
+    )
+    def test_rejects_weight_outside_unit_interval(self, call, label):
+        with pytest.raises(DataValidationError, match=rf"{label}=.* outside \[0, 1\]"):
+            call()
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             FitPolicy(name="maximize-drama")
