@@ -11,8 +11,7 @@ Three dataset shapes are supported:
 
 All types are immutable after construction and fully validated in
 ``__post_init__``; parsers either return validated values or raise a
-``QcmError`` subclass.  Serialization followed by parsing is the identity
-on membership records and coincidence tables.
+``QcmError`` subclass.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
 
@@ -31,7 +30,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal
+from typing import IO, Literal
 
 from .errors import DataValidationError, IncompleteRecordError, SchemaError
 
@@ -66,7 +65,6 @@ _COLUMN_TO_ATTR = {
     "muApandBp": "mu_ap_and_bp",
     "muAorB": "mu_a_or_b",
 }
-_ATTR_TO_COLUMN = {attr: col for col, attr in _COLUMN_TO_ATTR.items()}
 
 # combination weights: a record must carry at least one of these
 _COMBINATION_COLUMNS = ("muAandB", "muAandBp", "muApandB", "muApandBp", "muAorB")
@@ -106,10 +104,13 @@ def _load_json(text: str, what: str):
 
 
 def _to_float(value, label: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataValidationError(f"{label}={value!r:.40} is not a number") from None
+    """The one number policy: a JSON or Python int or float, never a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DataValidationError(f"{label}={value!r:.40} is not a number")
 
 
 def _check_unit_interval(value: float, label: str) -> float:
@@ -209,7 +210,7 @@ def parse_membership_table(
         return _membership_from_csv(text)
     if format == "json":
         return _membership_from_json(text)
-    raise ValueError(f"unknown format {format!r} (expected 'csv' or 'json')")
+    raise DataValidationError(f"unknown format {format!r} (expected 'csv' or 'json')")
 
 
 def _membership_from_csv(text: str) -> list[MembershipRecord]:
@@ -274,40 +275,6 @@ def _membership_from_json(text: str) -> list[MembershipRecord]:
                 fields[key] = value
         records.append(_record_from_fields(fields, context))
     return records
-
-
-def serialize_membership_table(
-    records: Iterable[MembershipRecord], format: Format = "csv"
-) -> bytes:
-    """Inverse of parse_membership_table (parse(serialize(rs)) == rs)."""
-    records = list(records)
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(MEMBERSHIP_COLUMNS)
-        for record in records:
-            row = []
-            for column in MEMBERSHIP_COLUMNS:
-                value = record.value(column)
-                if value is None:
-                    row.append("")
-                elif column in _TEXT_COLUMNS:
-                    row.append(value)
-                else:
-                    row.append(repr(value))
-            writer.writerow(row)
-        return out.getvalue().encode("utf-8")
-    if format == "json":
-        items = []
-        for record in records:
-            item = {}
-            for column in MEMBERSHIP_COLUMNS:
-                value = record.value(column)
-                if value is not None:
-                    item[column] = value
-            items.append(item)
-        return (json.dumps(items, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown format {format!r} (expected 'csv' or 'json')")
 
 
 @dataclass(frozen=True)
@@ -420,23 +387,9 @@ def parse_coincidence(source: bytes | str | IO[bytes] | IO[str]) -> CoincidenceT
             except DataValidationError as exc:
                 raise DataValidationError(f"block {key}: {exc}") from None
         parsed[key] = tuple(outcomes)
-    try:
-        return CoincidenceTable(
-            ab=parsed["AB"], abp=parsed["ABp"], apb=parsed["ApB"], apbp=parsed["ApBp"]
-        )
-    except DataValidationError:
-        raise
-
-
-def serialize_coincidence(table: CoincidenceTable) -> bytes:
-    doc = {
-        key: [
-            {"first": o.first, "second": o.second, "sign": o.sign, "p": o.p}
-            for o in table.block(key)
-        ]
-        for key in BLOCKS
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return CoincidenceTable(
+        ab=parsed["AB"], abp=parsed["ABp"], apb=parsed["ApB"], apbp=parsed["ApBp"]
+    )
 
 
 @dataclass(frozen=True)
@@ -515,16 +468,3 @@ def parse_count_datasets(source: bytes | str | IO[bytes] | IO[str]) -> list[Coun
             )
         )
     return datasets
-
-
-def serialize_count_datasets(datasets: Iterable[CountDataset]) -> bytes:
-    items = [
-        {
-            "category": d.category,
-            "N": d.n_total,
-            "stateLabels": list(d.state_labels),
-            "observed": list(d.observed),
-        }
-        for d in datasets
-    ]
-    return (json.dumps(items, indent=2) + "\n").encode("utf-8")

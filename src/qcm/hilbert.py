@@ -14,15 +14,21 @@ Entanglement diagnostics: a state is entangled iff its 2x2 reshape has
 singular-value rank 2; an observable is a product measurement iff its
 realignment (the 4x4 matrix reindexed as a map between factor spaces)
 has operator-Schmidt rank 1.
+
+The linear algebra is plain Python on matrices held as tuples of rows of
+``complex``.  Hermitian eigenvalues come from the cyclic complex Jacobi
+method (Golub & Van Loan, *Matrix Computations*, 4th ed., section 8.5):
+each rotation zeroes one off-diagonal pair, and sweeps over all pairs
+converge quadratically.  The singular values of M are the non-negative
+eigenvalues of the Hermitian [[0, M], [M^H, 0]] (Golub & Van Loan,
+section 8.6), from the same routine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping
-
-import numpy as np
+from typing import IO, Mapping, Sequence
 
 from .data import BLOCKS, CoincidenceTable, _load_json, _read_text, _to_float
 from .errors import DataValidationError, SchemaError
@@ -30,6 +36,84 @@ from .errors import DataValidationError, SchemaError
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 NONLOCAL_NON_MARGINAL_BOX_1 = "nonlocal non-marginal box modeling 1"
+
+Matrix4 = tuple[tuple[complex, ...], ...]
+
+
+def _matrix4(rows, what: str = "observable") -> Matrix4:
+    """An immutable copy of ``rows`` as a 4x4 complex matrix."""
+    try:
+        matrix = tuple(tuple(complex(x) for x in row) for row in rows)
+    except (TypeError, ValueError, OverflowError):
+        raise DataValidationError(f"{what} must be a 4x4 array of numbers") from None
+    if len(matrix) != 4 or any(len(row) != 4 for row in matrix):
+        raise DataValidationError(
+            f"{what} must be 4x4, got rows of lengths {[len(row) for row in matrix]}"
+        )
+    return matrix
+
+
+def _hermitian_part(m: Matrix4) -> Matrix4:
+    return tuple(
+        tuple((m[i][j] + m[j][i].conjugate()) / 2.0 for j in range(4)) for i in range(4)
+    )
+
+
+def _braket(v: Sequence[complex], m: Matrix4) -> complex:
+    """<v|M|v>."""
+    return sum(v[i].conjugate() * m[i][j] * v[j] for i in range(4) for j in range(4))
+
+
+def _eigvalsh(h: Sequence[Sequence[complex]]) -> list[float]:
+    """Ascending eigenvalues of the Hermitian matrix ``h`` (cyclic Jacobi).
+
+    Rotation (p, q) first turns a_pq real with the phase e = a_pq / |a_pq|,
+    then applies the real symmetric Schur rotation (Golub & Van Loan,
+    Algorithm 8.5.1), so the combined unitary has columns (c, -s conj(e))
+    and (s, c conj(e)) in rows (p, q).
+    """
+    a = [list(row) for row in h]
+    n = len(a)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    diag = [a[i][i].real for i in range(n)]
+    for _ in range(50):  # finite input needs under 10 sweeps; the cap ends inf/NaN
+        off = math.hypot(*(abs(a[p][q]) for p, q in pairs))
+        if off <= 1e-16 * math.hypot(*diag):  # false for NaN and for inf off the diagonal
+            break
+        for p, q in pairs:
+            g = abs(a[p][q])
+            if g == 0.0:
+                continue
+            phase = a[p][q].conjugate() / g
+            tau = (diag[q] - diag[p]) / (2.0 * g)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            diag[p] -= t * g
+            diag[q] += t * g
+            a[p][q] = a[q][p] = 0j
+            for k in range(n):
+                if k != p and k != q:
+                    x, y = a[k][p], a[k][q]
+                    a[k][p] = c * x - s * phase * y
+                    a[k][q] = s * x + c * phase * y
+                    a[p][k] = a[k][p].conjugate()
+                    a[q][k] = a[k][q].conjugate()
+    return sorted(diag)
+
+
+def _singular_values(m: Sequence[Sequence[complex]]) -> list[float]:
+    """Descending singular values of the square matrix ``m``.
+
+    They are the upper half of the spectrum of the Hermitian [[0, M], [M^H, 0]],
+    accurate to rounding of the largest; square roots of the eigenvalues of
+    M^H M would lose half the digits of the small ones.
+    """
+    n = len(m)
+    zeros = [0j] * n
+    h = [zeros + list(row) for row in m]
+    h += [[m[j][i].conjugate() for j in range(n)] + zeros for i in range(n)]
+    return [max(value, 0.0) for value in _eigvalsh(h)[: n - 1 : -1]]
 
 
 @dataclass(frozen=True)
@@ -39,18 +123,20 @@ class ComplexVector4:
     amplitudes: tuple[complex, complex, complex, complex]
     is_state: bool = True
     norm_tol: float = field(default=1e-3, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amplitudes = tuple(complex(a) for a in self.amplitudes)
         if len(amplitudes) != 4:
             raise DataValidationError(f"need 4 amplitudes, got {len(amplitudes)}")
         object.__setattr__(self, "amplitudes", amplitudes)
-        if self.is_state:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
-            if abs(norm - 1.0) > self.norm_tol:
-                raise DataValidationError(
-                    f"state norm {norm!r} differs from 1 by more than {self.norm_tol}"
-                )
+        # hypot scales internally, so huge amplitudes give a huge norm, not an overflow
+        norm = math.hypot(*(abs(a) for a in amplitudes))
+        object.__setattr__(self, "norm", norm)
+        if self.is_state and not abs(norm - 1.0) <= self.norm_tol:
+            raise DataValidationError(
+                f"state norm {norm!r} differs from 1 by more than {self.norm_tol}"
+            )
 
     @classmethod
     def from_polar_degrees(
@@ -63,9 +149,6 @@ class ComplexVector4:
         )
         return cls(amplitudes=amplitudes, is_state=is_state)
 
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class Observable4:
@@ -76,37 +159,37 @@ class Observable4:
     within 0.05 of 0.
     """
 
-    matrix: np.ndarray
+    matrix: Matrix4
     hermitian_tol: float = 1e-3
     eigenvalue_tol: float = 0.05
     trace_tol: float = 0.05
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.shape != (4, 4):
-            raise DataValidationError(f"observable must be 4x4, got {matrix.shape}")
-        matrix.flags.writeable = False
+        matrix = _matrix4(self.matrix)
         object.__setattr__(self, "matrix", matrix)
-        deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if deviation > self.hermitian_tol:
-            raise DataValidationError(
-                f"not Hermitian: max entry deviation {deviation:.6g} "
-                f"exceeds {self.hermitian_tol}"
-            )
-        trace = complex(np.trace(matrix))
-        if abs(trace) > self.trace_tol:
+        _check_hermitian(matrix, self.hermitian_tol)
+        trace = sum(matrix[i][i] for i in range(4))
+        if not abs(trace) <= self.trace_tol:
             raise DataValidationError(
                 f"trace {trace:.6g} not within {self.trace_tol} of 0"
             )
-        eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-        low, high = eigenvalues[:2], eigenvalues[2:]
-        if np.max(np.abs(low + 1.0)) > self.eigenvalue_tol or np.max(
-            np.abs(high - 1.0)
-        ) > self.eigenvalue_tol:
+        eigenvalues = _eigvalsh(_hermitian_part(matrix))
+        spectrum = zip(eigenvalues, (-1.0, -1.0, 1.0, 1.0))
+        if not all(abs(value - target) <= self.eigenvalue_tol for value, target in spectrum):
             raise DataValidationError(
-                f"eigenvalues {np.round(eigenvalues, 4).tolist()} not within "
+                f"eigenvalues {[round(value, 4) for value in eigenvalues]} not within "
                 f"{self.eigenvalue_tol} of -1, -1, +1, +1"
             )
+
+
+def _check_hermitian(matrix: Matrix4, tol: float) -> None:
+    deviation = max(
+        abs(matrix[i][j] - matrix[j][i].conjugate()) for i in range(4) for j in range(4)
+    )
+    if not deviation <= tol:
+        raise DataValidationError(
+            f"not Hermitian: max entry deviation {deviation:.6g} exceeds {tol}"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,23 +201,15 @@ class ExpectationValue:
 
 
 def expectation(
-    state: ComplexVector4, obs: Observable4 | np.ndarray, hermitian_tol: float = 1e-3
+    state: ComplexVector4, obs: Observable4 | Matrix4, hermitian_tol: float = 1e-3
 ) -> ExpectationValue:
     """<p|E|p>; the imaginary part must stay below 1e-3 and is reported."""
     if isinstance(obs, Observable4):
         matrix = obs.matrix
     else:
-        matrix = np.array(obs, dtype=complex)
-        if matrix.shape != (4, 4):
-            raise DataValidationError(f"observable must be 4x4, got {matrix.shape}")
-        deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if deviation > hermitian_tol:
-            raise DataValidationError(
-                f"not Hermitian: max entry deviation {deviation:.6g} "
-                f"exceeds {hermitian_tol}"
-            )
-    vec = state.vector()
-    raw = complex(np.vdot(vec, matrix @ vec))
+        matrix = _matrix4(obs)
+        _check_hermitian(matrix, hermitian_tol)
+    raw = _braket(state.amplitudes, matrix)
     return ExpectationValue(value=raw.real, imag_part=abs(raw.imag))
 
 
@@ -263,23 +338,26 @@ def state_schmidt(state: ComplexVector4, tol: float = 1e-6) -> SchmidtReport:
     Rank 2 (both singular values above ``tol``) means the state is
     entangled; rank 1 means it is a product state.
     """
-    matrix = state.vector().reshape(2, 2)
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(singular > tol))
+    a = state.amplitudes
+    singular = _singular_values(((a[0], a[1]), (a[2], a[3])))
     return SchmidtReport(
-        singular_values=(float(singular[0]), float(singular[1])), rank=rank
+        singular_values=(singular[0], singular[1]), rank=sum(s > tol for s in singular)
     )
 
 
-def realign(matrix: np.ndarray) -> np.ndarray:
+def realign(matrix: Matrix4) -> Matrix4:
     """Reindex M[(i,j),(k,l)] as R[(i,k),(j,l)].
 
     Tensor products A (x) B realign to the rank-1 outer product
     vec(A) vec(B)^T, so the singular values of R are the operator-Schmidt
     coefficients of M.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    return matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    m = _matrix4(matrix)
+    return tuple(
+        tuple(m[2 * i + j][2 * k + l] for j in range(2) for l in range(2))
+        for i in range(2)
+        for k in range(2)
+    )
 
 
 @dataclass(frozen=True)
@@ -290,7 +368,7 @@ class OperatorSchmidt:
 
 
 def operator_product_test(
-    obs: Observable4 | np.ndarray, rel_tol: float = 1e-6
+    obs: Observable4 | Matrix4, rel_tol: float = 1e-6
 ) -> OperatorSchmidt:
     """Operator-Schmidt coefficients and product/entangled classification.
 
@@ -298,16 +376,12 @@ def operator_product_test(
     largest; ``nearest_product_error`` is the Frobenius distance to the
     best product (rank-1) approximation.
     """
-    matrix = obs.matrix if isinstance(obs, Observable4) else np.asarray(obs, dtype=complex)
-    if matrix.shape != (4, 4):
-        raise DataValidationError(f"observable must be 4x4, got {matrix.shape}")
-    singular = np.linalg.svd(realign(matrix), compute_uv=False)
-    threshold = rel_tol * float(singular[0]) if singular[0] > 0.0 else 0.0
-    significant = int(np.sum(singular > threshold))
+    singular = _singular_values(realign(obs.matrix if isinstance(obs, Observable4) else obs))
+    threshold = rel_tol * singular[0] if singular[0] > 0.0 else 0.0
     return OperatorSchmidt(
-        coefficients=tuple(float(s) for s in singular),
-        product=significant <= 1,
-        nearest_product_error=float(math.sqrt(float(np.sum(singular[1:] ** 2)))),
+        coefficients=tuple(singular),
+        product=sum(s > threshold for s in singular) <= 1,
+        nearest_product_error=math.sqrt(sum(s * s for s in singular[1:])),
     )
 
 
@@ -320,7 +394,7 @@ class HilbertModel:
     """
 
     state: tuple[complex, complex, complex, complex]
-    operators: Mapping[str, np.ndarray]
+    operators: Mapping[str, Matrix4]
 
     def __post_init__(self):
         state = tuple(complex(a) for a in self.state)
@@ -331,11 +405,7 @@ class HilbertModel:
         for key in BLOCKS:
             if key not in self.operators:
                 raise SchemaError(f"model missing operator for block {key}")
-            matrix = np.array(self.operators[key], dtype=complex)
-            if matrix.shape != (4, 4):
-                raise DataValidationError(f"operator {key} must be 4x4, got {matrix.shape}")
-            matrix.flags.writeable = False
-            operators[key] = matrix
+            operators[key] = _matrix4(self.operators[key], f"operator {key}")
         object.__setattr__(self, "operators", operators)
 
 
@@ -390,13 +460,10 @@ def parse_model(source: bytes | str | IO[bytes] | IO[str]) -> HilbertModel:
             not isinstance(row, list) or len(row) != 4 for row in rows
         ):
             raise SchemaError(f"operator {key}: expected 4 rows of 4 entries")
-        operators[key] = np.array(
-            [
-                [_parse_complex(v, f"operator {key}[{i}][{j}]") for j, v in enumerate(row)]
-                for i, row in enumerate(rows)
-            ],
-            dtype=complex,
-        )
+        operators[key] = [
+            [_parse_complex(v, f"operator {key}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
     return HilbertModel(state=state, operators=operators)
 
 
@@ -452,8 +519,7 @@ def verify_reference_model(
 
     try:
         state = ComplexVector4(model.state, is_state=True, norm_tol=tolerances.state_norm)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in model.state))
-        checks.append(CheckItem("state.norm", True, f"norm = {norm:.6f}"))
+        checks.append(CheckItem("state.norm", True, f"norm = {state.norm:.6f}"))
     except DataValidationError as exc:
         state = ComplexVector4(model.state, is_state=False)
         checks.append(CheckItem("state.norm", False, str(exc)))
@@ -472,10 +538,7 @@ def verify_reference_model(
             checks.append(CheckItem(f"observable[{key}].invariants", False, str(exc)))
 
     for key in BLOCKS:
-        matrix = model.operators[key]
-        hermitized = (matrix + matrix.conj().T) / 2.0
-        vec = state.vector()
-        raw = complex(np.vdot(vec, hermitized @ vec))
+        raw = _braket(state.amplitudes, _hermitian_part(model.operators[key]))
         difference = abs(raw.real - table_e[key])
         checks.append(
             CheckItem(

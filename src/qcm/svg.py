@@ -9,8 +9,8 @@ layout are constants, and the output depends only on the chart data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
 
@@ -65,7 +65,7 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
 
     parts.append(
         f'<text x="{_fmt(plot_left)}" y="{_fmt(y_offset + 20)}" '
-        f'font-size="14" font-weight="bold">{escape(chart.title)}</text>'
+        f'font-size="14" font-weight="bold">{escape(chart.title, quote=False)}</text>'
     )
     # axis lines: left edge and the zero line
     parts.append(
@@ -103,7 +103,7 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
         parts.append(
             f'<text x="{_fmt(plot_left + ci * slot + slot / 2)}" '
             f'y="{_fmt(plot_top + plot_height + 16)}" font-size="10" '
-            f'text-anchor="middle">{escape(category)}</text>'
+            f'text-anchor="middle">{escape(category, quote=False)}</text>'
         )
 
     legend_x = plot_left
@@ -115,7 +115,7 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
         )
         parts.append(
             f'<text x="{_fmt(legend_x + 14)}" y="{_fmt(plot_top + plot_height + 33)}" '
-            f'font-size="10">{escape(series.label)}</text>'
+            f'font-size="10">{escape(series.label, quote=False)}</text>'
         )
         legend_x += 14 + 7 * len(series.label) + 18
 

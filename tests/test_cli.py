@@ -52,6 +52,19 @@ JSON_SCHEMA_RUNS = [
 _HUGE_INT = "1" + "0" * 400
 
 
+def _table_with_ab_p(probabilities):
+    table = json.loads((DATA_DIR / "animal_acts_table.json").read_text())
+    for outcome, p in zip(table["AB"], probabilities):
+        outcome["p"] = p
+    return table
+
+
+def _model_with_state0(value):
+    model = json.loads((DATA_DIR / "animal_acts_model.json").read_text())
+    model["state"][0] = value
+    return model
+
+
 def load_schema(name):
     text = resources.files("qcm").joinpath("schemas", name).read_text(encoding="utf-8")
     return json.loads(text)
@@ -201,6 +214,33 @@ class TestExitCodes:
         table = str(DATA_DIR / "animal_acts_table.json")
         assert main(["chsh", "--input", table, "--model", str(path)]) == 1
         assert "state[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, document, model, field",
+        [
+            ("chsh", _table_with_ab_p(["0.049", 0.63, 0.259, 0.062]), None, "p(Horse,Growls)"),
+            ("chsh", _table_with_ab_p([True, 0, 0, 0]), None, "p(Horse,Growls)"),
+            ("stats-fit", {"category": "x", "N": 1, "observed": [True, 0]}, None, "observed[0]"),
+            (
+                "chsh",
+                _table_with_ab_p([0.049, 0.63, 0.259, 0.062]),
+                _model_with_state0({"re": "0.23", "im": 0}),
+                "state[0]",
+            ),
+        ],
+        ids=["coincidence-p-string", "coincidence-p-bool", "observed-bool", "model-re-string"],
+    )
+    def test_json_numbers_must_be_numbers(
+        self, tmp_path, capsys, command, document, model, field
+    ):
+        # read as numbers, each value would make a valid document: one number policy
+        argv = [command, "--input", str(tmp_path / "input.json")]
+        (tmp_path / "input.json").write_text(json.dumps(document))
+        if model is not None:
+            (tmp_path / "model.json").write_text(json.dumps(model))
+            argv += ["--model", str(tmp_path / "model.json")]
+        assert main(argv) == 1
+        assert f"{field}=" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "0", "1", "1.5"])
     def test_confidence_outside_open_unit_interval_rejected(self, capsys, value):

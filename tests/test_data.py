@@ -1,18 +1,18 @@
-"""Parsing, validation, and round-trip behavior of the dataset layer."""
+"""Parsing and validation behavior of the dataset layer."""
 
 from __future__ import annotations
 
 import json
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, random_joint_record
+from conftest import DATA_DIR
 from qcm import (
     BLOCKS,
+    MEMBERSHIP_COLUMNS,
     CoincidenceOutcome,
     CoincidenceTable,
     CountDataset,
@@ -23,9 +23,6 @@ from qcm import (
     parse_coincidence,
     parse_count_datasets,
     parse_membership_table,
-    serialize_coincidence,
-    serialize_count_datasets,
-    serialize_membership_table,
 )
 
 
@@ -116,12 +113,9 @@ class TestMembershipParsing:
         record = parse_membership_table(doc, format="json")[0]
         assert record.mu_a_and_b is None
 
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    def test_round_trip_random_records(self, format):
-        rng = random.Random(20240815)
-        records = [random_joint_record(rng, i) for i in range(12)]
-        blob = serialize_membership_table(records, format=format)
-        assert parse_membership_table(blob, format=format) == records
+    def test_unknown_format_is_data_error(self):
+        with pytest.raises(DataValidationError, match="xml"):
+            parse_membership_table("exemplar,muA,muB,muAorB\nx,0.1,0.2,0.3\n", format="xml")
 
 
 class TestCoincidenceTable:
@@ -137,11 +131,7 @@ class TestCoincidenceTable:
         assert total == pytest.approx(0.999, abs=1e-12)
 
     def test_block_sum_out_of_tolerance_names_block(self):
-        doc = json.loads(
-            serialize_coincidence(
-                parse_coincidence(DATA_DIR.joinpath("animal_acts_table.json").read_bytes())
-            )
-        )
+        doc = json.loads(DATA_DIR.joinpath("animal_acts_table.json").read_text())
         doc["ABp"][0]["p"] = 0.8
         with pytest.raises(DataValidationError, match="ABp"):
             parse_coincidence(json.dumps(doc))
@@ -174,9 +164,6 @@ class TestCoincidenceTable:
         with pytest.raises(KeyError):
             animal_table.block("XY")
 
-    def test_round_trip(self, animal_table):
-        assert parse_coincidence(serialize_coincidence(animal_table)) == animal_table
-
 
 class TestCountDataset:
     def test_parse_single_object_and_list(self):
@@ -203,10 +190,6 @@ class TestCountDataset:
         with pytest.raises(DataValidationError):
             CountDataset(category="c", n_total=0, observed=(1.0,))
 
-    def test_round_trip(self):
-        datasets = parse_count_datasets(DATA_DIR.joinpath("mb_exact_n9.json").read_bytes())
-        assert parse_count_datasets(serialize_count_datasets(datasets)) == datasets
-
 
 @settings(max_examples=60)
 @given(
@@ -220,14 +203,19 @@ def test_membership_round_trip_property(weights, or_present):
     ab, abp, apb, apbp = (w / total for w in weights)
     record = MembershipRecord(
         exemplar="h",
+        concept_a="Pets",
+        concept_b="Fish",
         mu_a=min(ab + abp, 1.0),
         mu_b=min(ab + apb, 1.0),
+        mu_ap=min(apb + apbp, 1.0),
+        mu_bp=min(abp + apbp, 1.0),
         mu_a_and_b=ab,
         mu_a_and_bp=abp,
         mu_ap_and_b=apb,
         mu_ap_and_bp=apbp,
         mu_a_or_b=min(ab + abp + apb, 1.0) if or_present else None,
     )
-    for format in ("csv", "json"):
-        blob = serialize_membership_table([record], format=format)
-        assert parse_membership_table(blob, format=format) == [record]
+    fields = {c: record.value(c) for c in MEMBERSHIP_COLUMNS if record.value(c) is not None}
+    csv_text = ",".join(fields) + "\n" + ",".join(map(str, fields.values())) + "\n"
+    assert parse_membership_table(csv_text, format="csv") == [record]
+    assert parse_membership_table(json.dumps([fields]), format="json") == [record]

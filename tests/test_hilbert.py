@@ -33,6 +33,7 @@ from qcm import (
     state_schmidt,
     verify_reference_model,
 )
+from qcm.hilbert import _eigvalsh
 
 SIGMA_Z = np.diag([1.0, -1.0])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -73,19 +74,21 @@ class TestComplexVector4:
             [(1.0, 90.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
         )
         assert state.amplitudes[0] == pytest.approx(1j, abs=1e-12)
-        assert state.vector().dtype == np.complex128
+        assert all(type(a) is complex for a in state.amplitudes)
 
 
 class TestObservable4:
     def test_dichotomic_two_plus_two_spectrum_accepted(self):
         obs = Observable4(ZZ)
-        assert not obs.matrix.flags.writeable
+        assert isinstance(obs.matrix, tuple)
+        with pytest.raises(TypeError):
+            obs.matrix[0][0] = 0.0
 
     def test_source_array_is_copied(self):
         raw = ZZ.copy()
         obs = Observable4(raw)
         raw[0, 0] = 99.0
-        assert obs.matrix[0, 0] == 1.0
+        assert obs.matrix[0][0] == 1.0
 
     def test_shape_enforced(self):
         with pytest.raises(DataValidationError, match="4x4"):
@@ -306,7 +309,9 @@ class TestParseModel:
     def test_bundled_model_parses(self, animal_model):
         assert len(animal_model.state) == 4
         assert set(animal_model.operators) == {"AB", "ABp", "ApB", "ApBp"}
-        assert animal_model.operators["AB"].shape == (4, 4)
+        matrix = animal_model.operators["AB"]
+        assert len(matrix) == 4 and all(len(row) == 4 for row in matrix)
+        assert all(type(entry) is complex for row in matrix for entry in row)
 
     def test_polar_form_conversion(self, animal_model):
         amp = animal_model.state[0]
@@ -391,6 +396,14 @@ class TestVerifyReferenceModel:
         assert report.check("expectation[AB]").passed  # exact to 4 decimals
         assert not report.check("expectation[ApB]").passed
 
+    def test_huge_state_fails_norm_check_without_overflow(self, animal_model, animal_table):
+        from qcm import HilbertModel
+
+        huge = HilbertModel(state=(1e300, 0, 0, 0), operators=animal_model.operators)
+        report = verify_reference_model(huge, animal_table)
+        assert not report.check("state.norm").passed
+        assert "1e+300" in report.check("state.norm").detail
+
     def test_never_raises_on_broken_operator(self, animal_model, animal_table):
         from qcm import HilbertModel
 
@@ -401,6 +414,54 @@ class TestVerifyReferenceModel:
         )
         assert not report.all_passed
         assert not report.check("observable[AB].invariants").passed
+
+
+def _random_hermitian(rng) -> np.ndarray:
+    """Alternately a Gaussian Hermitian matrix, a +-1 observable, or a product A (x) B."""
+    kind = rng.integers(3)
+    if kind == 0:
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return (raw + raw.conj().T) * 10.0 ** rng.uniform(-3, 3)
+    if kind == 1:
+        unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return unitary @ np.diag([1.0, 1.0, -1.0, -1.0]) @ unitary.conj().T
+    a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+    return np.kron(a + a.conj().T, b + b.conj().T)
+
+
+def test_linear_algebra_matches_numpy_oracle():
+    rng = np.random.default_rng(20240816)
+    verdicts = set()
+    for _ in range(2000):
+        matrix = _random_hermitian(rng)
+        expected = np.linalg.eigvalsh(matrix)
+        assert np.abs(np.array(_eigvalsh(matrix)) - expected).max() <= 1e-12 * np.abs(
+            expected
+        ).max()
+
+        singular = np.linalg.svd(np.array(realign(matrix)), compute_uv=False)
+        report = operator_product_test(matrix)
+        assert np.abs(np.array(report.coefficients) - singular).max() <= 1e-12 * singular[0]
+        assert report.product == (np.sum(singular > 1e-6 * singular[0]) <= 1)
+
+        vector = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if rng.integers(2):
+            vector = np.kron(vector[:2], vector[2:])
+        vector /= np.linalg.norm(vector)
+        schmidt = state_schmidt(ComplexVector4(tuple(vector)))
+        singular = np.linalg.svd(vector.reshape(2, 2), compute_uv=False)
+        assert np.abs(np.array(schmidt.singular_values) - singular).max() <= 1e-12
+        assert schmidt.rank == np.sum(singular > 1e-6)
+        verdicts.add((report.product, schmidt.rank))
+    assert verdicts == {(True, 1), (True, 2), (False, 1), (False, 2)}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_eigenvalues_stop_on_non_finite_input(bad):
+    matrix = [[1.0, bad, 0, 0], [bad, -1.0, 0, 0], [0, 0, 1.0, 0.5], [0, 0, 0.5, -1.0]]
+    assert len(_eigvalsh(matrix)) == 4
+    with pytest.raises(DataValidationError):
+        Observable4(matrix)
 
 
 def test_tsirelson_bound_constant():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import subprocess
 import sys
@@ -368,17 +369,41 @@ def test_pmf_always_a_distribution(family, p1, n_total):
     assert all(v >= -1e-15 for v in vector)
 
 
-def test_qcm_runs_without_importing_scipy():
-    # scipy.stats costs ~1 s of import; qcm must not load it, even while running
+def test_qcm_runs_without_importing_scipy(tmp_path):
+    # numpy and scipy are test-only oracles; qcm must not load them, even while
+    # running chsh --model (the last user of numpy) or plotting
     probe = (
         "import sys, qcm\n"
-        "assert 'scipy' not in sys.modules, 'import qcm loaded scipy'\n"
         "from qcm import cli\n"
+        "def absent(when):\n"
+        "    for name in ('numpy', 'scipy'):\n"
+        "        assert name not in sys.modules, f'{when} loaded {name}'\n"
+        "absent('import qcm')\n"
         "assert cli.main(['classicality', '--input', 'data/goldfish.csv']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'classicality loaded scipy'\n"
+        "absent('classicality')\n"
+        "assert cli.main(['chsh', '--input', 'data/animal_acts_table.json',\n"
+        "                 '--model', 'data/animal_acts_model.json']) == 0\n"
+        "absent('chsh --model')\n"
+        "assert cli.main(['stats-fit', '--input', 'data/uniform11.json',\n"
+        f"                 '--plot', {str(tmp_path / 'plot.svg')!r}]) == 0\n"
+        "absent('stats-fit --plot')\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env=child_env(), cwd=REPO_ROOT,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((REPO_ROOT / "src" / "qcm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # relative imports name qcm itself
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names | {"qcm"}, f"{path.name}: {module}"
