@@ -12,6 +12,10 @@ text`` renders the text from that payload.  Text renders floats at 4
 decimals (round half to even) so reports are byte-stable; JSON keeps full
 precision and never holds NaN or infinities.
 
+A command executes only the analysis modules it calls: ``cls``, ``fock``,
+``hilbert``, ``stats`` and ``svg`` are bound here as lazily executed
+modules, and charts are built only for ``--plot``.
+
 Exit codes: 0 success, 1 bad data or usage (a ``QcmError``), 2 I/O error;
 any other exception is a bug and keeps its traceback.  QCM_TOLERANCE
 overrides per-command default tolerances; --tolerance wins over it.
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import importlib.util
 import json
 import math
 import os
@@ -28,10 +34,33 @@ import re
 import sys
 from typing import Sequence
 
-from . import classicality as cls
-from . import fock, hilbert, stats, svg
 from .data import _load_json, parse_coincidence, parse_count_datasets, parse_membership_table
 from .errors import DataValidationError, QcmError
+
+
+def _lazy_submodule(name: str):
+    """``qcm.<name>``, executed on its first attribute access.
+
+    Like an import, it is entered in ``sys.modules`` and bound on the
+    package, so ``import qcm.<name>`` and ``qcm.<name>`` find this module.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cls = _lazy_submodule("classicality")
+fock = _lazy_submodule("fock")
+hilbert = _lazy_submodule("hilbert")
+stats = _lazy_submodule("stats")
+svg = _lazy_submodule("svg")
 
 _PROG = "qcm"
 
@@ -125,7 +154,7 @@ def _verdict_payload(verdict: cls.ClassicalityVerdict) -> dict:
     }
 
 
-def _cmd_classicality(args) -> tuple[dict, list[svg.Chart]]:
+def _cmd_classicality(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     if not 0.0 < args.confidence < 1.0:  # also false for NaN
         raise DataValidationError(f"--confidence must be in (0, 1), got {args.confidence!r}")
     tolerance = _resolve_tolerance(args.tolerance, cls.DEFAULT_TOLERANCE)
@@ -183,6 +212,8 @@ def _cmd_classicality(args) -> tuple[dict, list[svg.Chart]]:
         "records": entries,
         "profileStatistics": statistics_payload,
     }
+    if not plot:
+        return payload, []
     series = tuple(
         svg.Series(entry["exemplar"], tuple(entry["deviationProfile"].values()))
         for entry in entries
@@ -238,7 +269,7 @@ def _render_classicality(payload: dict) -> list[str]:
 # -------------------------------------------------------------------- fock-fit
 
 
-def _cmd_fock_fit(args) -> tuple[dict, list[svg.Chart]]:
+def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     tolerance = _resolve_tolerance(args.tolerance, fock.FIT_TOLERANCE)
     records = _read_membership(args)
     name = _input_name(args.input)
@@ -277,14 +308,6 @@ def _cmd_fock_fit(args) -> tuple[dict, list[svg.Chart]]:
                         "solutionSet": _fields(result.family),
                     }
                 )
-        chart = svg.Chart(
-            title=f"two-sector fits: {name}",
-            categories=tuple(f"{fit['exemplar']} ({fit['connective']})" for fit in fits),
-            series=(
-                svg.Series("target", tuple(fit["target"] for fit in fits)),
-                svg.Series("predicted", tuple(fit["predicted"] for fit in fits)),
-            ),
-        )
     else:
         setting = {"seed": args.seed}
         for record in records:
@@ -313,6 +336,26 @@ def _cmd_fock_fit(args) -> tuple[dict, list[svg.Chart]]:
                     "pairs": pairs,
                 }
             )
+    payload = {
+        "report": "fock-fit",
+        "mode": args.mode,
+        "input": name,
+        **setting,
+        "tolerance": tolerance,
+        "fits": fits,
+    }
+    if not (plot and fits):
+        return payload, []
+    if args.mode == "two-sector":
+        chart = svg.Chart(
+            title=f"two-sector fits: {name}",
+            categories=tuple(f"{fit['exemplar']} ({fit['connective']})" for fit in fits),
+            series=(
+                svg.Series("target", tuple(fit["target"] for fit in fits)),
+                svg.Series("predicted", tuple(fit["predicted"] for fit in fits)),
+            ),
+        )
+    else:
         chart = svg.Chart(
             title=f"general fit residuals: {name}",
             categories=fock.PAIR_KEYS,
@@ -327,15 +370,7 @@ def _cmd_fock_fit(args) -> tuple[dict, list[svg.Chart]]:
                 for fit in fits
             ),
         )
-    payload = {
-        "report": "fock-fit",
-        "mode": args.mode,
-        "input": name,
-        **setting,
-        "tolerance": tolerance,
-        "fits": fits,
-    }
-    return payload, [chart] if fits else []
+    return payload, [chart]
 
 
 def _render_fock_fit(payload: dict) -> list[str]:
@@ -398,7 +433,7 @@ _EXPECTATION_LABELS = {
 }
 
 
-def _cmd_chsh(args) -> tuple[dict, list[svg.Chart]]:
+def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     tolerance = _resolve_tolerance(args.tolerance, 0.01)
     table = parse_coincidence(_read_input(args.input))
     name = _input_name(args.input)
@@ -430,6 +465,8 @@ def _cmd_chsh(args) -> tuple[dict, list[svg.Chart]]:
             "checks": [_fields(item) for item in verification.checks],
         }
 
+    if not plot:
+        return payload, []
     chart = svg.Chart(
         title=f"expectation values: {name}",
         categories=tuple(_EXPECTATION_LABELS[key] for key in payload["expectations"]),
@@ -481,7 +518,7 @@ def _render_chsh(payload: dict) -> list[str]:
 # ------------------------------------------------------------------- stats-fit
 
 
-def _cmd_stats_fit(args) -> tuple[dict, list[svg.Chart]]:
+def _cmd_stats_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     datasets = parse_count_datasets(_read_input(args.input))
     name = _input_name(args.input)
     entries = []
@@ -503,18 +540,18 @@ def _cmd_stats_fit(args) -> tuple[dict, list[svg.Chart]]:
                 "comparison": _fields(stats.compare_bic(mb, be)),
             }
         )
-        # the chart needs the observations and fitted pmfs, which the payload lacks
-        charts.append(
-            svg.Chart(
-                title=f"{dataset.category} (N = {dataset.n_total})",
-                categories=tuple(str(n) for n in range(dataset.n_total + 1)),
-                series=(
-                    svg.Series("observed", dataset.observed),
-                    svg.Series("MB fit", stats.pmf_vector(mb.params)),
-                    svg.Series("BE fit", stats.pmf_vector(be.params)),
-                ),
+        if plot:  # the chart needs the observations and fitted pmfs, which the payload lacks
+            charts.append(
+                svg.Chart(
+                    title=f"{dataset.category} (N = {dataset.n_total})",
+                    categories=tuple(str(n) for n in range(dataset.n_total + 1)),
+                    series=(
+                        svg.Series("observed", dataset.observed),
+                        svg.Series("MB fit", stats.pmf_vector(mb.params)),
+                        svg.Series("BE fit", stats.pmf_vector(be.params)),
+                    ),
+                )
             )
-        )
     payload = {"report": "stats-fit", "input": name, "datasets": entries}
     return payload, charts
 
@@ -548,7 +585,7 @@ def _render_stats_fit(payload: dict) -> list[str]:
 _MANIFEST_COMMANDS = ("classicality", "fock-fit", "chsh", "stats-fit")
 
 
-def _cmd_report(args) -> tuple[dict, list[svg.Chart]]:
+def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     manifest = _load_json(_read_input(args.manifest), "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
         raise DataValidationError("manifest: expected an object with a 'runs' array")
@@ -580,7 +617,7 @@ def _cmd_report(args) -> tuple[dict, list[svg.Chart]]:
         if not isinstance(name, str):
             raise DataValidationError(f"manifest run {index}: 'name' must be a string")
         sub_args = _build_parser().parse_args(argv)
-        payload, charts = _COMMANDS[command][0](sub_args)
+        payload, charts = _COMMANDS[command][0](sub_args, plot)
         run_payloads.append({"name": name, "command": command, "report": payload})
         all_charts.extend(charts)
     payload = {
@@ -603,7 +640,7 @@ def _render_combined(payload: dict) -> list[str]:
 # ---------------------------------------------------------------------- driver
 
 
-# command -> (function making its payload and charts, text renderer of that payload)
+# command -> (builder of its payload and, for --plot, its charts; text renderer of the payload)
 _COMMANDS = {
     "classicality": (_cmd_classicality, _render_classicality),
     "fock-fit": (_cmd_fock_fit, _render_fock_fit),
@@ -613,6 +650,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # argparse parsers are reusable; a report reuses this one per run
 def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description="concept-combination analysis toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -666,12 +704,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             parser.error("a command is required")
         build, render = _COMMANDS[args.command]
-        payload, charts = build(args)
+        payload, charts = build(args, bool(args.plot))
         if args.output == "json":
             sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         else:
             sys.stdout.write("\n".join(render(payload)) + "\n")
-        if getattr(args, "plot", None):
+        if args.plot:
             with open(args.plot, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(svg.render(charts))
         return 0

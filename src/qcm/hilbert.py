@@ -27,6 +27,7 @@ section 8.6), from the same routine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence
 
@@ -40,17 +41,30 @@ NONLOCAL_NON_MARGINAL_BOX_1 = "nonlocal non-marginal box modeling 1"
 Matrix4 = tuple[tuple[complex, ...], ...]
 
 
+def _complex(value, label: str) -> complex:
+    """``data._to_float``'s number policy for complex entries: never a bool or a string."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        try:
+            return complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DataValidationError(f"{label}={value!r:.40} is not a number")
+
+
 def _matrix4(rows, what: str = "observable") -> Matrix4:
     """An immutable copy of ``rows`` as a 4x4 complex matrix."""
     try:
-        matrix = tuple(tuple(complex(x) for x in row) for row in rows)
-    except (TypeError, ValueError, OverflowError):
+        matrix = tuple(tuple(row) for row in rows)
+    except TypeError:
         raise DataValidationError(f"{what} must be a 4x4 array of numbers") from None
     if len(matrix) != 4 or any(len(row) != 4 for row in matrix):
         raise DataValidationError(
             f"{what} must be 4x4, got rows of lengths {[len(row) for row in matrix]}"
         )
-    return matrix
+    return tuple(
+        tuple(_complex(x, f"{what}[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(matrix)
+    )
 
 
 def _hermitian_part(m: Matrix4) -> Matrix4:
@@ -126,7 +140,9 @@ class ComplexVector4:
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amplitudes = tuple(complex(a) for a in self.amplitudes)
+        amplitudes = tuple(
+            _complex(a, f"amplitude[{i}]") for i, a in enumerate(self.amplitudes)
+        )
         if len(amplitudes) != 4:
             raise DataValidationError(f"need 4 amplitudes, got {len(amplitudes)}")
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -143,11 +159,12 @@ class ComplexVector4:
         cls, polar: list[tuple[float, float]], is_state: bool = True
     ) -> "ComplexVector4":
         """Build from (modulus, phase in degrees) pairs."""
-        amplitudes = tuple(
-            mod * complex(math.cos(math.radians(arg)), math.sin(math.radians(arg)))
-            for mod, arg in polar
-        )
-        return cls(amplitudes=amplitudes, is_state=is_state)
+        amplitudes = []
+        for i, (mod, arg) in enumerate(polar):
+            mod = _to_float(mod, f"modulus[{i}]")
+            phase = math.radians(_to_float(arg, f"phase[{i}]"))
+            amplitudes.append(mod * complex(math.cos(phase), math.sin(phase)))
+        return cls(amplitudes=tuple(amplitudes), is_state=is_state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +414,7 @@ class HilbertModel:
     operators: Mapping[str, Matrix4]
 
     def __post_init__(self):
-        state = tuple(complex(a) for a in self.state)
+        state = tuple(_complex(a, f"state[{i}]") for i, a in enumerate(self.state))
         if len(state) != 4:
             raise DataValidationError(f"state needs 4 amplitudes, got {len(state)}")
         object.__setattr__(self, "state", state)

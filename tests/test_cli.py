@@ -96,6 +96,26 @@ def test_plot_output_matches_golden(tmp_path):
     assert_matches_golden(svg_name, target.read_text(encoding="utf-8"))
 
 
+# more plot goldens, covering every chart kind; kept out of conftest's GOLDEN_PLOT,
+# which the benchmark reads as part of its op mix
+PLOT_GOLDENS = {
+    "report_manifest.svg": ["report", "--manifest", "data/report_manifest.json"],
+    "fock_fit_goldfish_general.svg": [
+        "fock-fit", "--input", "data/goldfish.csv", "--mode", "general",
+    ],
+}
+
+
+@pytest.mark.parametrize("svg_name", sorted(PLOT_GOLDENS))
+def test_more_plots_match_goldens(svg_name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
+    target = tmp_path / "plot.svg"
+    assert main([*PLOT_GOLDENS[svg_name], "--plot", str(target)]) == 0
+    assert capsys.readouterr().err == ""
+    assert_matches_golden(svg_name, target.read_text(encoding="utf-8"))
+
+
 def test_plot_output_is_deterministic(tmp_path):
     first = tmp_path / "one.svg"
     second = tmp_path / "two.svg"
@@ -364,6 +384,24 @@ class TestReportManifest:
         manifest.write_text("{not json")
         proc = run_cli(["report", "--manifest", str(manifest)])
         assert proc.returncode == 1
+
+    def test_usage_error_in_a_run_repeats_exactly(self, tmp_path, capsys):
+        # every run reuses the process's one parser; its errors must not drift
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "fock-fit", "input": str(DATA_DIR / "hampton.csv"), "mode": "bogus"},
+        ]}))
+        errors = []
+        for _ in range(2):
+            assert main(["report", "--manifest", str(manifest)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: qcm fock-fit ")
+        assert errors[0].endswith(
+            "qcm fock-fit: error: argument --mode: invalid choice: 'bogus' "
+            "(choose from 'two-sector', 'general')\n"
+        )
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestRequiredSubstrings:

@@ -416,6 +416,47 @@ class TestVerifyReferenceModel:
         assert not report.check("observable[AB].invariants").passed
 
 
+class TestNumberPolicy:
+    """Models built in code follow the parsers' policy: strings and bools are not numbers."""
+
+    @pytest.mark.parametrize("bad", ["1", b"1", True])
+    def test_state_entries(self, bad):
+        with pytest.raises(DataValidationError, match=r"amplitude\[0\]=.* is not a number"):
+            ComplexVector4((bad, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", ["1", b"1", True])
+    def test_polar_entries(self, bad):
+        with pytest.raises(DataValidationError, match=r"modulus\[0\]=.* is not a number"):
+            ComplexVector4.from_polar_degrees([(bad, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(DataValidationError, match=r"phase\[1\]=.* is not a number"):
+            ComplexVector4.from_polar_degrees([(1.0, 0.0), (0.0, bad), (0.0, 0.0), (0.0, 0.0)])
+
+    @pytest.mark.parametrize("bad", ["1", b"1", True])
+    def test_model_entries(self, bad, animal_model):
+        from qcm import HilbertModel
+
+        with pytest.raises(DataValidationError, match=r"state\[0\]=.* is not a number"):
+            HilbertModel(state=(bad, 0.0, 0.0, 0.0), operators=animal_model.operators)
+        operators = dict(animal_model.operators)
+        operators["AB"] = [[bad, 0, 0, 0], *animal_model.operators["AB"][1:]]
+        with pytest.raises(DataValidationError, match=r"operator AB\[0\]\[0\]="):
+            HilbertModel(state=animal_model.state, operators=operators)
+
+    @pytest.mark.parametrize("bad", ["1", b"1", True])
+    def test_matrix_entries(self, bad):
+        rows = [list(row) for row in ZZ]
+        rows[2][2] = bad
+        with pytest.raises(DataValidationError, match=r"observable\[2\]\[2\]="):
+            Observable4(rows)
+        with pytest.raises(DataValidationError, match=r"observable\[2\]\[2\]="):
+            expectation(BELL, rows)
+
+    def test_numpy_scalars_accepted(self):
+        assert ComplexVector4(np.array([1, 0, 0, 0])).amplitudes == (1, 0, 0, 0)
+        assert ComplexVector4(np.array([1j, 0, 0, 0])).amplitudes == (1j, 0, 0, 0)
+        assert Observable4(ZZ.astype(np.float32)).matrix[3][3] == 1
+
+
 def _random_hermitian(rng) -> np.ndarray:
     """Alternately a Gaussian Hermitian matrix, a +-1 observable, or a product A (x) B."""
     kind = rng.integers(3)
