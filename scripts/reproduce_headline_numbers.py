@@ -19,7 +19,9 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def main() -> None:
-    table = qcm.parse_coincidence(DATA.joinpath("animal_acts_table.json").read_bytes())
+    table = qcm.parse_coincidence(
+        DATA.joinpath("animal_acts_table.json").read_text(encoding="utf-8")
+    )
     report = qcm.expectations_from_table(table)
     print("== coincidence analysis ==")
     for key, value in report.expectations().items():
@@ -32,7 +34,7 @@ def main() -> None:
         flag = "violated" if c.violated else "ok"
         print(f"{c.label:<9} {c.block_a} vs {c.block_b}: {c.lhs:.3f} vs {c.rhs:.3f} [{flag}]")
 
-    model = qcm.parse_model(DATA.joinpath("animal_acts_model.json").read_bytes())
+    model = qcm.parse_model(DATA.joinpath("animal_acts_model.json").read_text(encoding="utf-8"))
     verification = qcm.verify_reference_model(model, table)
     print()
     print("== reference model ==")
@@ -77,7 +79,9 @@ def main() -> None:
     be_params = qcm.DistParams(family="BE", p1=0.5, n_total=11)
     values = qcm.pmf_vector(be_params)
     print(f"BE(N=11, p1=0.5): uniform = {all(v == values[0] for v in values)}")
-    datasets = qcm.parse_count_datasets(DATA.joinpath("uniform11.json").read_bytes())
+    datasets = qcm.parse_count_datasets(
+        DATA.joinpath("uniform11.json").read_text(encoding="utf-8")
+    )
     mb = qcm.fit_distribution(datasets[0], "MB")
     be = qcm.fit_distribution(datasets[0], "BE")
     comparison = qcm.compare_bic(mb, be)

@@ -47,24 +47,18 @@ _EXPORTS = {
         "check_negation",
         "check_reference_bands",
         "deviation_profile",
-        "joint_atoms",
         "profile_statistics",
     ),
     "fock": (
         "FIT_TOLERANCE",
-        "PAIR_KEYS",
-        "MIN_INTERFERENCE",
-        "MIN_M2",
         "FockParams",
         "Prediction",
         "PairParams",
         "GeneralFockParams",
-        "FitPolicy",
         "FitResult",
         "FeasibleSet",
         "interference_magnitude",
-        "eval_conjunction",
-        "eval_disjunction",
+        "eval_two_sector",
         "eval_general",
         "eval_general_record",
         "fit_two_sector",
@@ -83,13 +77,11 @@ _EXPORTS = {
         "SchmidtReport",
         "OperatorSchmidt",
         "HilbertModel",
-        "VerifyTolerances",
         "ModelVerificationReport",
         "expectation",
         "expectations_from_table",
         "marginal_law_check",
         "state_schmidt",
-        "realign",
         "operator_product_test",
         "parse_model",
         "verify_reference_model",
@@ -99,7 +91,6 @@ _EXPORTS = {
         "DistFit",
         "BicComparison",
         "RegressionResult",
-        "golden_section_minimize",
         "mb_pmf",
         "be_pmf",
         "pmf_vector",

@@ -102,6 +102,9 @@ def check_negation(
     marginal_Ap: mu(A') = mu(A' and B') + mu(A' and B)
     marginal_Bp: mu(B') = mu(A' and B') + mu(A and B')
     unit_mass:   the four conjunction weights sum to 1
+
+    When all five hold, the four conjunction weights are a classical joint
+    distribution reproducing every marginal.
     """
     mu_a, mu_b, mu_ap, mu_bp, ab, abp, apb, apbp = record.require(
         "muA", "muB", "muAp", "muBp", "muAandB", "muAandBp", "muApandB", "muApandBp"
@@ -115,15 +118,6 @@ def check_negation(
     }
     satisfied = all(abs(r) <= tolerance for r in residuals.values())
     return ClassicalityVerdict("negation", satisfied, residuals, tolerance)
-
-
-def joint_atoms(record: MembershipRecord) -> tuple[float, float, float, float]:
-    """The candidate 4-atom joint distribution behind a negation quadruple.
-
-    When check_negation passes, these four conjunction weights ARE a
-    classical joint distribution reproducing every marginal.
-    """
-    return record.require("muAandB", "muAandBp", "muApandB", "muApandBp")
 
 
 @dataclass(frozen=True)

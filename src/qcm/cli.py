@@ -34,7 +34,13 @@ import re
 import sys
 from typing import Sequence
 
-from .data import _load_json, parse_coincidence, parse_count_datasets, parse_membership_table
+from .data import (
+    BLOCKS,
+    _load_json,
+    parse_coincidence,
+    parse_count_datasets,
+    parse_membership_table,
+)
 from .errors import DataValidationError, QcmError
 
 
@@ -277,20 +283,16 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     fits = []
     if args.mode == "two-sector":
         setting = {"policy": args.policy}
-        policy = fock.FitPolicy(name=args.policy, tolerance=tolerance)
         for record in records:
-            for connective, column, evaluate in (
-                ("and", "muAandB", fock.eval_conjunction),
-                ("or", "muAorB", fock.eval_disjunction),
-            ):
+            for connective, column in (("and", "muAandB"), ("or", "muAorB")):
                 if not record.has(column):
                     continue
                 target = record.value(column)
                 result = fock.fit_two_sector(
-                    record.mu_a, record.mu_b, target, connective, policy
+                    record.mu_a, record.mu_b, target, connective, args.policy, tolerance
                 )
                 params = result.params
-                predicted = evaluate(record.mu_a, record.mu_b, params)
+                predicted = fock.eval_two_sector(record.mu_a, record.mu_b, params)
                 fits.append(
                     {
                         **_record_payload(record),
@@ -316,7 +318,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             result = fock.fit_general_quadruple(record, tolerance)
             predictions = fock.eval_general_record(record, result.params)
             pairs = {}
-            for key in fock.PAIR_KEYS:
+            for key in BLOCKS:
                 pair = result.params.pair(key)
                 pairs[key] = {
                     "m2": pair.m2,
@@ -330,7 +332,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             fits.append(
                 {
                     **_record_payload(record),
-                    "targets": dict(zip(fock.PAIR_KEYS, fock.joint_targets(record))),
+                    "targets": dict(zip(BLOCKS, fock.joint_targets(record))),
                     "maxResidual": result.residual,
                     "feasible": result.feasible,
                     "pairs": pairs,
@@ -358,13 +360,13 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     else:
         chart = svg.Chart(
             title=f"general fit residuals: {name}",
-            categories=fock.PAIR_KEYS,
+            categories=BLOCKS,
             series=tuple(
                 svg.Series(
                     label=fit["exemplar"],
                     values=tuple(
                         abs(fit["pairs"][k]["predicted"] - fit["targets"][k])
-                        for k in fock.PAIR_KEYS
+                        for k in BLOCKS
                     ),
                 )
                 for fit in fits
@@ -408,7 +410,7 @@ def _render_fock_fit(payload: dict) -> list[str]:
             lines += [
                 "",
                 f"{title}: targets "
-                + "  ".join(f"{k} = {_fmt(targets[k])}" for k in fock.PAIR_KEYS),
+                + "  ".join(f"{k} = {_fmt(targets[k])}" for k in BLOCKS),
                 f"  max residual = {_fmt(fit['maxResidual'])}  "
                 f"feasible: {_yesno(fit['feasible'])}",
             ]
@@ -455,9 +457,7 @@ def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
 
     if args.model is not None:
         model = hilbert.parse_model(_read_input(args.model))
-        verification = hilbert.verify_reference_model(
-            model, table, hilbert.VerifyTolerances(marginal=tolerance)
-        )
+        verification = hilbert.verify_reference_model(model, table, tolerance)
         payload["model"] = {
             "input": _input_name(args.model),
             "allPassed": verification.all_passed,

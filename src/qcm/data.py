@@ -10,7 +10,8 @@ Three dataset shapes are supported:
   splits of N identical instances between two states.
 
 All types are immutable after construction and fully validated in
-``__post_init__``; parsers either return validated values or raise a
+``__post_init__``, which holds each field's one validator; parsers take
+the input as ``str`` and either return validated values or raise a
 ``QcmError`` subclass.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
@@ -30,7 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Literal
+from typing import Literal
 
 from .errors import DataValidationError, IncompleteRecordError, SchemaError
 
@@ -74,21 +75,6 @@ BLOCKS = ("AB", "ABp", "ApB", "ApBp")
 BLOCK_SUM_TOLERANCE = 1e-3  # published tables are 3-decimal rounded
 
 Format = Literal["csv", "json"]
-
-
-def _read_text(source: bytes | str | IO[bytes] | IO[str]) -> str:
-    if isinstance(source, bytes):
-        raw = source
-    elif isinstance(source, str):
-        return source
-    else:
-        raw = source.read()
-        if isinstance(raw, str):
-            return raw
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataValidationError(f"input is not valid UTF-8: {exc}") from None
 
 
 def _load_json(text: str, what: str):
@@ -143,11 +129,13 @@ class MembershipRecord:
     mu_a_or_b: float | None = None
 
     def __post_init__(self):
+        for column in _TEXT_COLUMNS:
+            value = getattr(self, _COLUMN_TO_ATTR[column])
+            if not isinstance(value, str):
+                raise DataValidationError(f"{column} must be a string, got {value!r:.40}")
         for column, attr in _COLUMN_TO_ATTR.items():
-            if column in _TEXT_COLUMNS:
-                continue
             value = getattr(self, attr)
-            if value is None:
+            if value is None or column in _TEXT_COLUMNS:
                 continue
             try:
                 value = _check_unit_interval(value, column)
@@ -199,11 +187,8 @@ def _record_from_fields(fields: dict, context: str) -> MembershipRecord:
         raise DataValidationError(f"{context}: {exc}") from None
 
 
-def parse_membership_table(
-    source: bytes | str | IO[bytes] | IO[str], format: Format = "csv"
-) -> list[MembershipRecord]:
+def parse_membership_table(text: str, format: Format = "csv") -> list[MembershipRecord]:
     """Parse a membership table; empty input parses to an empty list."""
-    text = _read_text(source)
     if text.strip() == "":
         return []
     if format == "csv":
@@ -263,15 +248,7 @@ def _membership_from_json(text: str) -> list[MembershipRecord]:
         for key, value in item.items():
             if key not in MEMBERSHIP_COLUMNS:
                 raise SchemaError(f"{context}: unknown key {key!r}")
-            if value is None:
-                continue
-            if key in _TEXT_COLUMNS:
-                if not isinstance(value, str):
-                    raise DataValidationError(f"{context}: {key} must be a string")
-                fields[key] = value
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DataValidationError(f"{context}: {key} must be a number")
+            if value is not None:
                 fields[key] = value
         records.append(_record_from_fields(fields, context))
     return records
@@ -287,10 +264,10 @@ class CoincidenceOutcome:
     p: float
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):  # a bool is not a sign
             raise DataValidationError(
-                f"outcome ({self.first!r}, {self.second!r}): sign must be +1 or -1, "
-                f"got {self.sign!r}"
+                f"outcome ({self.first!r}, {self.second!r}): sign must be the integer "
+                f"+1 or -1, got {self.sign!r:.40}"
             )
         object.__setattr__(
             self, "p", _check_unit_interval(self.p, f"p({self.first},{self.second})")
@@ -346,13 +323,13 @@ class CoincidenceTable:
 _BLOCK_ATTR = {"AB": "ab", "ABp": "abp", "ApB": "apb", "ApBp": "apbp"}
 
 
-def parse_coincidence(source: bytes | str | IO[bytes] | IO[str]) -> CoincidenceTable:
+def parse_coincidence(text: str) -> CoincidenceTable:
     """Parse a coincidence table from JSON.
 
     Document shape: an object with exactly the keys AB, ABp, ApB, ApBp,
     each a list of four outcome objects {"first", "second", "sign", "p"}.
     """
-    doc = _load_json(_read_text(source), "coincidence table")
+    doc = _load_json(text, "coincidence table")
     if not isinstance(doc, dict):
         raise SchemaError("coincidence table: expected a JSON object")
     unknown = set(doc) - set(BLOCKS)
@@ -372,15 +349,12 @@ def parse_coincidence(source: bytes | str | IO[bytes] | IO[str]) -> CoincidenceT
                 raise SchemaError(
                     f"block {key}: each outcome needs keys first/second/sign/p"
                 )
-            sign = entry["sign"]
-            if isinstance(sign, bool) or not isinstance(sign, int):
-                raise DataValidationError(f"block {key}: sign must be an integer +-1")
             try:
                 outcomes.append(
                     CoincidenceOutcome(
                         first=str(entry["first"]),
                         second=str(entry["second"]),
-                        sign=sign,
+                        sign=entry["sign"],
                         p=entry["p"],
                     )
                 )
@@ -440,9 +414,9 @@ class CountDataset:
             )
 
 
-def parse_count_datasets(source: bytes | str | IO[bytes] | IO[str]) -> list[CountDataset]:
+def parse_count_datasets(text: str) -> list[CountDataset]:
     """Parse one or a list of count datasets from JSON."""
-    doc = _load_json(_read_text(source), "count dataset")
+    doc = _load_json(text, "count dataset")
     items = doc if isinstance(doc, list) else [doc]
     datasets = []
     for index, item in enumerate(items):
@@ -451,20 +425,19 @@ def parse_count_datasets(source: bytes | str | IO[bytes] | IO[str]) -> list[Coun
         for key in ("category", "N", "observed"):
             if key not in item:
                 raise SchemaError(f"count dataset {index}: missing key {key!r}")
-        n_total = item["N"]
-        if isinstance(n_total, bool) or not isinstance(n_total, int):
-            raise DataValidationError(f"count dataset {index}: N must be an integer")
         if not isinstance(item["observed"], list):
             raise SchemaError(f"count dataset {index}: observed must be an array")
         labels = item.get("stateLabels", ["state1", "state2"])
         if not isinstance(labels, list) or len(labels) != 2:
             raise SchemaError(f"count dataset {index}: stateLabels must be a pair")
-        datasets.append(
-            CountDataset(
+        try:
+            dataset = CountDataset(
                 category=str(item["category"]),
-                n_total=n_total,
+                n_total=item["N"],
                 observed=tuple(item["observed"]),
                 state_labels=(str(labels[0]), str(labels[1])),
             )
-        )
+        except DataValidationError as exc:
+            raise DataValidationError(f"count dataset {index}: {exc}") from None
+        datasets.append(dataset)
     return datasets

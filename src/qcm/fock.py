@@ -24,18 +24,17 @@ Angles cross the API boundary in degrees; dataclass fields store radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal
 
-from .data import MembershipRecord, _check_unit_interval
+from .data import BLOCKS, _BLOCK_ATTR, MembershipRecord, _check_unit_interval
 from .errors import DataValidationError
 
-Connective = Literal["and", "or"]
-
-PAIR_KEYS = ("AB", "ABp", "ApB", "ApBp")
-
 FIT_TOLERANCE = 1e-9
+
+ALPHA_SUM_TOLERANCE = 1e-9  # the general model's alpha coefficients sum to 1 within this
+
+_POLICIES = ("min-interference", "min-m2")
 
 _EPS = 1e-12
 
@@ -55,18 +54,12 @@ def interference_magnitude(mu_x: float, mu_y: float) -> float:
 
 @dataclass(frozen=True)
 class FockParams:
-    """Two-sector parameters for a single conjunction or disjunction.
-
-    ``lambda_rad`` and ``nu_rad`` are inert state phases: recorded when
-    supplied, never entering any probability.
-    """
+    """Two-sector parameters for a single conjunction or disjunction."""
 
     m2: float
     n2: float
     theta_rad: float
     connective: str
-    lambda_rad: float | None = None
-    nu_rad: float | None = None
 
     def __post_init__(self):
         for name in ("m2", "n2"):
@@ -84,21 +77,13 @@ class FockParams:
 
     @classmethod
     def from_degrees(
-        cls,
-        m2: float,
-        theta_deg: float,
-        connective: str,
-        n2: float | None = None,
-        lambda_deg: float | None = None,
-        nu_deg: float | None = None,
+        cls, m2: float, theta_deg: float, connective: str, n2: float | None = None
     ) -> "FockParams":
         return cls(
             m2=m2,
             n2=1.0 - m2 if n2 is None else n2,
             theta_rad=math.radians(theta_deg),
             connective=connective,
-            lambda_rad=None if lambda_deg is None else math.radians(lambda_deg),
-            nu_rad=None if nu_deg is None else math.radians(nu_deg),
         )
 
     @property
@@ -124,30 +109,19 @@ def _logical(mu_a: float, mu_b: float, connective: str) -> float:
     return mu_a + mu_b - mu_a * mu_b
 
 
-def _eval(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
+def eval_two_sector(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
+    """m2 * logical + n2 * ((mu_a+mu_b)/2 + I cos theta).
+
+    The logical value is mu_a mu_b for ``params.connective`` 'and' and
+    mu_a + mu_b - mu_a mu_b for 'or'.
+    """
+    mu_a = _check_unit_interval(mu_a, "muA")
+    mu_b = _check_unit_interval(mu_b, "muB")
     sector1 = (mu_a + mu_b) / 2.0 + interference_magnitude(mu_a, mu_b) * math.cos(
         params.theta_rad
     )
     sector2 = _logical(mu_a, mu_b, params.connective)
     return _flagged(params.m2 * sector2 + params.n2 * sector1)
-
-
-def eval_conjunction(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
-    """m2 * mu_a mu_b + n2 * ((mu_a+mu_b)/2 + I cos theta)."""
-    if params.connective != "and":
-        raise ValueError("eval_conjunction needs params with connective 'and'")
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
-    return _eval(mu_a, mu_b, params)
-
-
-def eval_disjunction(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
-    """m2 * (mu_a + mu_b - mu_a mu_b) + n2 * ((mu_a+mu_b)/2 + I cos theta)."""
-    if params.connective != "or":
-        raise ValueError("eval_disjunction needs params with connective 'or'")
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
-    return _eval(mu_a, mu_b, params)
 
 
 @dataclass(frozen=True)
@@ -193,30 +167,26 @@ class GeneralFockParams:
     """Per-combination general-model parameters for the negation quadruple.
 
     The sector-2 state enters only through the alpha coefficients, which
-    must sum to 1 (within ``alpha_tol``).
+    must sum to 1 (within ``ALPHA_SUM_TOLERANCE``).
     """
 
     ab: PairParams
     abp: PairParams
     apb: PairParams
     apbp: PairParams
-    alpha_tol: float = field(default=1e-9, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.ab.alpha + self.abp.alpha + self.apb.alpha + self.apbp.alpha
-        if abs(total - 1.0) > self.alpha_tol:
+        if abs(total - 1.0) > ALPHA_SUM_TOLERANCE:
             raise DataValidationError(
-                f"alpha coefficients sum to {total!r}, not 1 within {self.alpha_tol}"
+                f"alpha coefficients sum to {total!r}, not 1 within {ALPHA_SUM_TOLERANCE}"
             )
 
     def pair(self, which: str) -> PairParams:
         try:
-            return getattr(self, _PAIR_ATTR[which])
+            return getattr(self, _BLOCK_ATTR[which])
         except KeyError:
-            raise KeyError(f"unknown pair {which!r} (expected one of {PAIR_KEYS})") from None
-
-
-_PAIR_ATTR = {"AB": "ab", "ABp": "abp", "ApB": "apb", "ApBp": "apbp"}
+            raise KeyError(f"unknown pair {which!r} (expected one of {BLOCKS})") from None
 
 
 def eval_general(
@@ -250,30 +220,8 @@ def eval_general_record(
 ) -> dict[str, Prediction]:
     marginals = record_marginals(record)
     return {
-        which: eval_general(*marginals[which], params, which) for which in PAIR_KEYS
+        which: eval_general(*marginals[which], params, which) for which in BLOCKS
     }
-
-
-@dataclass(frozen=True)
-class FitPolicy:
-    """Canonical-solution selection rule for underdetermined fits.
-
-    ``min-interference``: smallest |cos theta|, ties broken by smallest
-    m2 (attribute as little to interference as possible).
-    ``min-m2``: smallest sector-2 weight, ties broken by smallest
-    |cos theta|.
-    """
-
-    name: str = "min-interference"
-    tolerance: float = FIT_TOLERANCE
-
-    def __post_init__(self):
-        if self.name not in ("min-interference", "min-m2"):
-            raise ValueError(f"unknown policy {self.name!r}")
-
-
-MIN_INTERFERENCE = FitPolicy("min-interference")
-MIN_M2 = FitPolicy("min-m2")
 
 
 @dataclass(frozen=True)
@@ -307,9 +255,10 @@ def fit_two_sector(
     mu_b: float,
     target: float,
     connective: str,
-    policy: FitPolicy = MIN_INTERFERENCE,
+    policy: str = "min-interference",
+    tolerance: float = FIT_TOLERANCE,
 ) -> FitResult:
-    """Solve for (m2, theta) reproducing ``target`` exactly, if possible.
+    """Solve for (m2, theta) reproducing ``target`` within ``tolerance``, if possible.
 
     The model is linear in m2 and in cos(theta), so the feasible set is an
     interval of m2 values with theta determined by
@@ -317,13 +266,19 @@ def fit_two_sector(
     the canonical representative under ``policy`` is computed in closed
     form.  Infeasibility is a result state (feasible=False with the
     least-residual parameters), not an error.
+
+    Policies pick the canonical point of an underdetermined fit.
+    ``min-interference``: smallest |cos theta|, ties broken by smallest m2
+    (attribute as little to interference as possible).  ``min-m2``:
+    smallest sector-2 weight, ties broken by smallest |cos theta|.
     """
     mu_a = _check_unit_interval(mu_a, "muA")
     mu_b = _check_unit_interval(mu_b, "muB")
     target = _check_unit_interval(target, "target")
     if connective not in ("and", "or"):
         raise ValueError(f"connective must be 'and' or 'or', got {connective!r}")
-    tol = policy.tolerance
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
 
     logical = _logical(mu_a, mu_b, connective)
     avg = (mu_a + mu_b) / 2.0
@@ -338,17 +293,17 @@ def fit_two_sector(
         params = FockParams(
             m2=m2, n2=1.0 - m2, theta_rad=theta_rad, connective=connective
         )
-        residual = abs(_eval(mu_a, mu_b, params).value - target)
+        residual = abs(eval_two_sector(mu_a, mu_b, params).value - target)
         return FitResult(
             params=params,
             residual=residual,
-            feasible=residual <= tol,
+            feasible=residual <= tolerance,
             family=feasible_set,
-            policy=policy.name,
-            tolerance=tol,
+            policy=policy,
+            tolerance=tolerance,
         )
 
-    if target < lo_attain - tol or target > hi_attain + tol:
+    if target < lo_attain - tolerance or target > hi_attain + tolerance:
         # outside the attainable hull: report the boundary point closest to it
         if target > hi_attain:
             m2, theta = (1.0, math.pi / 2) if logical >= avg + interf else (0.0, 0.0)
@@ -367,7 +322,7 @@ def fit_two_sector(
             m2_lo = m2_hi = m2_star
             note = "interference weight 0: m2 fixed, theta unconstrained"
         m2 = m2_lo
-        if abs(avg + m2 * span - target) > tol:
+        if abs(avg + m2 * span - target) > tolerance:
             note = "no exact solution; interference weight 0 pins the value"
             return result(m2, math.pi / 2, FeasibleSet(kind="empty", note=note))
         return result(
@@ -392,7 +347,7 @@ def fit_two_sector(
                 root = (s * interf - offset) / den
                 if -1e-9 <= root < 1.0 and abs(cos_at(root)) <= 1.0 + 1e-6:
                     ends.append(min(max(root, 0.0), 1.0))
-        if abs(target - logical) <= tol:
+        if abs(target - logical) <= tolerance:
             ends.append(1.0)
         if not ends:
             return (math.nan, math.nan)
@@ -409,7 +364,7 @@ def fit_two_sector(
         else:
             # target equals the logical value: m2=1 kills interference
             canonical = (1.0, math.pi / 2)
-        if policy.name == "min-m2":
+        if policy == "min-m2":
             if abs(c_const) <= 1.0:
                 canonical = (0.0, math.acos(min(max(c_const, -1.0), 1.0)))
             # else only m2=1 reaches the target; keep (1, 90 deg)
@@ -420,7 +375,7 @@ def fit_two_sector(
         )
 
     m2_zero_cross = offset / span if abs(span) > _EPS else math.nan
-    if policy.name == "min-interference":
+    if policy == "min-interference":
         if not math.isnan(m2_zero_cross) and -_EPS <= m2_zero_cross <= 1.0 + _EPS:
             canonical = (min(max(m2_zero_cross, 0.0), 1.0), math.pi / 2)
         else:
@@ -532,9 +487,9 @@ def fit_general_quadruple(
     """
     mu_a, mu_b = record.require("muA", "muB")
     marginals = record_marginals(record)
-    targets = dict(zip(PAIR_KEYS, joint_targets(record)))
+    targets = dict(zip(BLOCKS, joint_targets(record)))
     avgs = {k: (m[0] + m[1]) / 2.0 for k, m in marginals.items()}
-    interfs = {k: interference_magnitude(*marginals[k]) for k in PAIR_KEYS}
+    interfs = {k: interference_magnitude(*marginals[k]) for k in BLOCKS}
     delta = MARGINAL_SLACK
 
     def result(alphas, pairs, family: FeasibleSet) -> FitResult:
@@ -542,7 +497,7 @@ def fit_general_quadruple(
             key: PairParams(
                 m2=m2, n2=1.0 - m2, alpha=min(max(alpha, 0.0), 1.0), beta=beta, phi_rad=phi
             )
-            for key, alpha, (m2, beta, phi) in zip(PAIR_KEYS, alphas, pairs)
+            for key, alpha, (m2, beta, phi) in zip(BLOCKS, alphas, pairs)
         }
         params = GeneralFockParams(
             ab=pair_params["AB"],
@@ -563,7 +518,7 @@ def fit_general_quadruple(
         )
 
     # classical shortcut: the conjunction weights themselves as sector-2 atoms
-    atoms = tuple(targets[k] for k in PAIR_KEYS)
+    atoms = tuple(targets[k] for k in BLOCKS)
     if (
         abs(sum(atoms) - 1.0) <= 1e-9
         and abs(atoms[0] + atoms[1] - mu_a) <= delta + _EPS
@@ -591,10 +546,10 @@ def fit_general_quadruple(
         sign, (f0, f1, f2) = forms[key]
         return side * sign > 0.0, (sign * (level - f0), -sign * f1, -sign * f2)
 
-    base = [a1_bound(key, 0.0, 1.0) for key in PAIR_KEYS]  # every alpha >= 0
+    base = [a1_bound(key, 0.0, 1.0) for key in BLOCKS]  # every alpha >= 0
     box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a), max(-delta, -mu_b), min(delta, 1.0 - mu_b))
-    weights = {k: abs(targets[k] - avgs[k]) for k in PAIR_KEYS}
-    movable = [k for k in PAIR_KEYS if weights[k] > _EPS]
+    weights = {k: abs(targets[k] - avgs[k]) for k in BLOCKS}
+    movable = [k for k in BLOCKS if weights[k] > _EPS]
     subsets = sorted(
         (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
         key=lambda subset: -sum(weights[k] for k in subset),
@@ -618,7 +573,7 @@ def fit_general_quadruple(
     alphas = (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
     pairs = [
         _solve_pair(targets[key], avgs[key], alpha, interfs[key])
-        for key, alpha in zip(PAIR_KEYS, alphas)
+        for key, alpha in zip(BLOCKS, alphas)
     ]
     return result(
         alphas,
@@ -667,7 +622,7 @@ def compatibility_notes() -> tuple[CompatibilityNote, ...]:
         ("Tall/Not-Tall borderline", "and", 0.01, 0.95, 0.77, 0.0, 0.15),
     ):
         params = FockParams.from_degrees(m2=m2, theta_deg=theta_deg, connective=connective)
-        prediction = _eval(mu_a, mu_b, params)
+        prediction = eval_two_sector(mu_a, mu_b, params)
         notes.append(
             CompatibilityNote(
                 label=label,

@@ -29,12 +29,21 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .data import BLOCKS, CoincidenceTable, _load_json, _read_text, _to_float
+from .data import BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _to_float
 from .errors import DataValidationError, SchemaError
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
+# tolerances sized for 3-decimal printed states and matrices
+NORM_TOLERANCE = 1e-3  # |norm - 1| of a state
+HERMITIAN_TOLERANCE = 1e-3  # entrywise |M - M^H| of an observable
+EIGENVALUE_TOLERANCE = 0.05  # distance of each eigenvalue from +-1
+TRACE_TOLERANCE = 0.05  # |trace| of an observable
+EXPECTATION_TOLERANCE = 0.02  # |<p|E|p> - table expectation| in model verification
+STATE_RANK_TOLERANCE = 1e-6  # a state's Schmidt coefficients at or below this count as 0
+OPERATOR_RANK_TOLERANCE = 1e-6  # the same for operator-Schmidt ones, relative to the largest
 
 NONLOCAL_NON_MARGINAL_BOX_1 = "nonlocal non-marginal box modeling 1"
 
@@ -136,7 +145,6 @@ class ComplexVector4:
 
     amplitudes: tuple[complex, complex, complex, complex]
     is_state: bool = True
-    norm_tol: float = field(default=1e-3, repr=False, compare=False)
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,9 +157,9 @@ class ComplexVector4:
         # hypot scales internally, so huge amplitudes give a huge norm, not an overflow
         norm = math.hypot(*(abs(a) for a in amplitudes))
         object.__setattr__(self, "norm", norm)
-        if self.is_state and not abs(norm - 1.0) <= self.norm_tol:
+        if self.is_state and not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise DataValidationError(
-                f"state norm {norm!r} differs from 1 by more than {self.norm_tol}"
+                f"state norm {norm!r} differs from 1 by more than {NORM_TOLERANCE}"
             )
 
     @classmethod
@@ -171,41 +179,38 @@ class ComplexVector4:
 class Observable4:
     """A 4x4 two-outcome observable with spectrum {+1, -1}, each twice.
 
-    Tolerances default to values sized for 3-decimal printed matrices:
-    Hermiticity 1e-3 entrywise, eigenvalues within 0.05 of +-1, trace
-    within 0.05 of 0.
+    Hermitian within ``HERMITIAN_TOLERANCE`` entrywise, with eigenvalues
+    within ``EIGENVALUE_TOLERANCE`` of +-1 and trace within
+    ``TRACE_TOLERANCE`` of 0.
     """
 
     matrix: Matrix4
-    hermitian_tol: float = 1e-3
-    eigenvalue_tol: float = 0.05
-    trace_tol: float = 0.05
 
     def __post_init__(self):
         matrix = _matrix4(self.matrix)
         object.__setattr__(self, "matrix", matrix)
-        _check_hermitian(matrix, self.hermitian_tol)
+        _check_hermitian(matrix)
         trace = sum(matrix[i][i] for i in range(4))
-        if not abs(trace) <= self.trace_tol:
+        if not abs(trace) <= TRACE_TOLERANCE:
             raise DataValidationError(
-                f"trace {trace:.6g} not within {self.trace_tol} of 0"
+                f"trace {trace:.6g} not within {TRACE_TOLERANCE} of 0"
             )
         eigenvalues = _eigvalsh(_hermitian_part(matrix))
         spectrum = zip(eigenvalues, (-1.0, -1.0, 1.0, 1.0))
-        if not all(abs(value - target) <= self.eigenvalue_tol for value, target in spectrum):
+        if not all(abs(value - target) <= EIGENVALUE_TOLERANCE for value, target in spectrum):
             raise DataValidationError(
                 f"eigenvalues {[round(value, 4) for value in eigenvalues]} not within "
-                f"{self.eigenvalue_tol} of -1, -1, +1, +1"
+                f"{EIGENVALUE_TOLERANCE} of -1, -1, +1, +1"
             )
 
 
-def _check_hermitian(matrix: Matrix4, tol: float) -> None:
+def _check_hermitian(matrix: Matrix4) -> None:
     deviation = max(
         abs(matrix[i][j] - matrix[j][i].conjugate()) for i in range(4) for j in range(4)
     )
-    if not deviation <= tol:
+    if not deviation <= HERMITIAN_TOLERANCE:
         raise DataValidationError(
-            f"not Hermitian: max entry deviation {deviation:.6g} exceeds {tol}"
+            f"not Hermitian: max entry deviation {deviation:.6g} exceeds {HERMITIAN_TOLERANCE}"
         )
 
 
@@ -217,15 +222,13 @@ class ExpectationValue:
     imag_part: float
 
 
-def expectation(
-    state: ComplexVector4, obs: Observable4 | Matrix4, hermitian_tol: float = 1e-3
-) -> ExpectationValue:
-    """<p|E|p>; the imaginary part must stay below 1e-3 and is reported."""
+def expectation(state: ComplexVector4, obs: Observable4 | Matrix4) -> ExpectationValue:
+    """<p|E|p> of a Hermitian ``obs``; the imaginary residue is reported."""
     if isinstance(obs, Observable4):
         matrix = obs.matrix
     else:
         matrix = _matrix4(obs)
-        _check_hermitian(matrix, hermitian_tol)
+        _check_hermitian(matrix)
     raw = _braket(state.amplitudes, matrix)
     return ExpectationValue(value=raw.real, imag_part=abs(raw.imag))
 
@@ -241,13 +244,15 @@ class ChshReport:
     tsirelson_respected: bool
 
     def __post_init__(self):
+        # a block may sum to 1 + BLOCK_SUM_TOLERANCE, and so may |E|
+        bound = 1.0 + BLOCK_SUM_TOLERANCE
         eps = 1e-9
         for name in ("e_ab", "e_abp", "e_apb", "e_apbp"):
             value = getattr(self, name)
-            if not -1.0 - eps <= value <= 1.0 + eps:
-                raise DataValidationError(f"{name}={value!r} outside [-1, 1]")
-        if not -4.0 - eps <= self.chsh <= 4.0 + eps:
-            raise DataValidationError(f"chsh={self.chsh!r} outside [-4, 4]")
+            if not -bound - eps <= value <= bound + eps:
+                raise DataValidationError(f"{name}={value!r} outside [-{bound}, {bound}]")
+        if not -4.0 * bound - eps <= self.chsh <= 4.0 * bound + eps:
+            raise DataValidationError(f"chsh={self.chsh!r} outside [-{4 * bound}, {4 * bound}]")
 
     def expectations(self) -> dict[str, float]:
         return {
@@ -349,16 +354,17 @@ class SchmidtReport:
     rank: int
 
 
-def state_schmidt(state: ComplexVector4, tol: float = 1e-6) -> SchmidtReport:
+def state_schmidt(state: ComplexVector4) -> SchmidtReport:
     """Schmidt decomposition of the state across the two factors.
 
-    Rank 2 (both singular values above ``tol``) means the state is
-    entangled; rank 1 means it is a product state.
+    Rank 2 (both singular values above ``STATE_RANK_TOLERANCE``) means the state
+    is entangled; rank 1 means it is a product state.
     """
     a = state.amplitudes
     singular = _singular_values(((a[0], a[1]), (a[2], a[3])))
     return SchmidtReport(
-        singular_values=(singular[0], singular[1]), rank=sum(s > tol for s in singular)
+        singular_values=(singular[0], singular[1]),
+        rank=sum(s > STATE_RANK_TOLERANCE for s in singular),
     )
 
 
@@ -384,17 +390,15 @@ class OperatorSchmidt:
     nearest_product_error: float
 
 
-def operator_product_test(
-    obs: Observable4 | Matrix4, rel_tol: float = 1e-6
-) -> OperatorSchmidt:
+def operator_product_test(obs: Observable4 | Matrix4) -> OperatorSchmidt:
     """Operator-Schmidt coefficients and product/entangled classification.
 
-    ``product`` iff exactly one coefficient exceeds ``rel_tol`` times the
-    largest; ``nearest_product_error`` is the Frobenius distance to the
+    ``product`` iff exactly one coefficient exceeds ``OPERATOR_RANK_TOLERANCE`` times
+    the largest; ``nearest_product_error`` is the Frobenius distance to the
     best product (rank-1) approximation.
     """
     singular = _singular_values(realign(obs.matrix if isinstance(obs, Observable4) else obs))
-    threshold = rel_tol * singular[0] if singular[0] > 0.0 else 0.0
+    threshold = OPERATOR_RANK_TOLERANCE * singular[0] if singular[0] > 0.0 else 0.0
     return OperatorSchmidt(
         coefficients=tuple(singular),
         product=sum(s > threshold for s in singular) <= 1,
@@ -457,9 +461,9 @@ def _parse_complex(value, context: str) -> complex:
     )
 
 
-def parse_model(source: bytes | str | IO[bytes] | IO[str]) -> HilbertModel:
+def parse_model(text: str) -> HilbertModel:
     """Parse a model file: {"state": [complex x4], "operators": {block: 4x4}}."""
-    doc = _load_json(_read_text(source), "hilbert model")
+    doc = _load_json(text, "hilbert model")
     if not isinstance(doc, dict) or "state" not in doc or "operators" not in doc:
         raise SchemaError("hilbert model: expected object with keys state/operators")
     state_doc = doc["state"]
@@ -482,17 +486,6 @@ def parse_model(source: bytes | str | IO[bytes] | IO[str]) -> HilbertModel:
             for i, row in enumerate(rows)
         ]
     return HilbertModel(state=state, operators=operators)
-
-
-@dataclass(frozen=True)
-class VerifyTolerances:
-    hermitian: float = 1e-3
-    eigenvalue: float = 0.05
-    trace: float = 0.05
-    expectation: float = 0.02
-    schmidt: float = 1e-6
-    marginal: float = 0.01
-    state_norm: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -519,7 +512,7 @@ class ModelVerificationReport:
 def verify_reference_model(
     model: HilbertModel,
     table: CoincidenceTable,
-    tolerances: VerifyTolerances = VerifyTolerances(),
+    marginal_tolerance: float = 0.01,
 ) -> ModelVerificationReport:
     """Run every model check against the observed coincidence table.
 
@@ -527,29 +520,25 @@ def verify_reference_model(
     state entanglement (Schmidt rank 2), operator entanglement (all four
     non-product), and the box classification.  The classification string
     is emitted when the CHSH value exceeds the classical bound while
-    respecting the Tsirelson bound and ANY shared marginal is violated.
-    Sub-check failures are listed in the report; nothing throws.
+    respecting the Tsirelson bound and ANY shared marginal is violated,
+    by more than ``marginal_tolerance``; the other checks use this module's
+    tolerance constants.  Sub-check failures are listed in the report;
+    nothing throws.
     """
     checks: list[CheckItem] = []
     report = expectations_from_table(table)
     table_e = report.expectations()
 
     try:
-        state = ComplexVector4(model.state, is_state=True, norm_tol=tolerances.state_norm)
+        state = ComplexVector4(model.state, is_state=True)
         checks.append(CheckItem("state.norm", True, f"norm = {state.norm:.6f}"))
     except DataValidationError as exc:
         state = ComplexVector4(model.state, is_state=False)
         checks.append(CheckItem("state.norm", False, str(exc)))
 
     for key in BLOCKS:
-        matrix = model.operators[key]
         try:
-            Observable4(
-                matrix,
-                hermitian_tol=tolerances.hermitian,
-                eigenvalue_tol=tolerances.eigenvalue,
-                trace_tol=tolerances.trace,
-            )
+            Observable4(model.operators[key])
             checks.append(CheckItem(f"observable[{key}].invariants", True, "Hermitian, spectrum ~ {+1,+1,-1,-1}, trace ~ 0"))
         except DataValidationError as exc:
             checks.append(CheckItem(f"observable[{key}].invariants", False, str(exc)))
@@ -560,13 +549,13 @@ def verify_reference_model(
         checks.append(
             CheckItem(
                 f"expectation[{key}]",
-                difference <= tolerances.expectation,
+                difference <= EXPECTATION_TOLERANCE,
                 f"<p|E|p> = {raw.real:.4f} vs table {table_e[key]:.4f} "
                 f"(|diff| = {difference:.4f})",
             )
         )
 
-    schmidt = state_schmidt(state, tol=tolerances.schmidt)
+    schmidt = state_schmidt(state)
     checks.append(
         CheckItem(
             "state.schmidt_rank",
@@ -586,7 +575,7 @@ def verify_reference_model(
             )
         )
 
-    marginals = marginal_law_check(table, tolerance=tolerances.marginal)
+    marginals = marginal_law_check(table, tolerance=marginal_tolerance)
     any_marginal_violated = any(m.violated for m in marginals)
     box_condition = (
         report.classical_violated and report.tsirelson_respected and any_marginal_violated

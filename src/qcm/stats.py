@@ -41,19 +41,16 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 # guard: exact fits give RSS = 0; floor keeps ln finite and JSON-safe
 _RSS_FLOOR = 1e-300
 
+# within 2 BIC units, R^2 values further apart than this make the evidence "weak"
+R2_MARGIN = 0.01
+
 FAMILIES = ("MB", "BE")
 
 
-def golden_section_minimize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9
-) -> float:
-    """Argmin of a unimodal f on [lo, hi] to within a bracket of size tol."""
-    if hi < lo:
-        lo, hi = hi, lo
+def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Argmin of a unimodal f on [lo, hi], lo < hi, to within a bracket of size 1e-9."""
     h = hi - lo
-    if h <= tol:
-        return (lo + hi) / 2.0
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    steps = int(math.ceil(math.log(1e-9 / h) / math.log(_INV_PHI)))
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
     fc, fd = f(c), f(d)
@@ -222,13 +219,13 @@ class BicComparison:
     strength: str
 
 
-def compare_bic(fit_a: DistFit, fit_b: DistFit, r2_margin: float = 0.01) -> BicComparison:
+def compare_bic(fit_a: DistFit, fit_b: DistFit) -> BicComparison:
     """Compare an MB fit and a BE fit of the same dataset.
 
     ``delta_bic = fit_a.bic - fit_b.bic``; with the canonical call order
     (MB, BE), positive values favor BE.  Strength thresholds: |delta| > 6
     strong, 2 < |delta| <= 6 positive, otherwise weak when the R^2 values
-    separate by more than ``r2_margin``, else none.  Boundary values fall
+    separate by more than ``R2_MARGIN``, else none.  Boundary values fall
     in the weaker class.
     """
     families = {fit_a.params.family, fit_b.params.family}
@@ -261,7 +258,7 @@ def compare_bic(fit_a: DistFit, fit_b: DistFit, r2_margin: float = 0.01) -> BicC
         strength = "positive"
     else:
         r2_known = fit_a.r2 is not None and fit_b.r2 is not None
-        separated = r2_known and abs(fit_a.r2 - fit_b.r2) > r2_margin
+        separated = r2_known and abs(fit_a.r2 - fit_b.r2) > R2_MARGIN
         strength = "weak" if separated else "none"
     return BicComparison(delta_bic=delta, winner=winner, strength=strength)
 

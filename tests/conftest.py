@@ -114,14 +114,16 @@ def goldfish_record() -> MembershipRecord:
 def animal_table():
     from qcm import parse_coincidence
 
-    return parse_coincidence(DATA_DIR.joinpath("animal_acts_table.json").read_bytes())
+    return parse_coincidence(
+        DATA_DIR.joinpath("animal_acts_table.json").read_text(encoding="utf-8")
+    )
 
 
 @pytest.fixture(scope="session")
 def animal_model():
     from qcm import parse_model
 
-    return parse_model(DATA_DIR.joinpath("animal_acts_model.json").read_bytes())
+    return parse_model(DATA_DIR.joinpath("animal_acts_model.json").read_text(encoding="utf-8"))
 
 
 def random_joint_record(

@@ -22,7 +22,6 @@ from qcm import (
     check_negation,
     check_reference_bands,
     deviation_profile,
-    joint_atoms,
     parse_membership_table,
     profile_statistics,
 )
@@ -124,9 +123,6 @@ class TestNegation:
         with pytest.raises(IncompleteRecordError) as excinfo:
             check_negation(partial)
         assert excinfo.value.field == "muAp"
-
-    def test_joint_atoms_returns_conjunction_quadruple(self, goldfish_record):
-        assert joint_atoms(goldfish_record) == (0.43, 0.91, 0.18, 0.43)
 
 
 class TestDeviationProfile:

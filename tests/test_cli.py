@@ -22,7 +22,7 @@ from conftest import (
     assert_matches_golden,
     run_cli,
 )
-from qcm import cli
+from qcm import ChshReport, DataValidationError, cli
 from qcm.cli import main
 
 JSON_SCHEMA_RUNS = [
@@ -221,6 +221,42 @@ class TestExitCodes:
         path.write_text(json.dumps(table))
         assert main(["chsh", "--input", str(path)]) == 1
         assert "block AB" in capsys.readouterr().err
+
+    def test_chsh_accepts_a_block_summing_to_the_tolerance(self, tmp_path, capsys):
+        # AB sums to 1.001, inside the parser's 1e-3 window, so E(A,B) = 1.001
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(_table_with_ab_p([0.6, 0.0, 0.0, 0.401])))
+        assert main(["chsh", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "E(A,B)   = 1.0010" in captured.out
+        assert captured.err == ""
+        assert main(["chsh", "--input", str(path), "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["expectations"]["AB"] == pytest.approx(1.001)
+        jsonschema.validate(payload, load_schema("chsh_report.json"))
+
+    def test_chsh_schema_bounds_are_the_report_bounds(self):
+        schema = load_schema("chsh_report.json")["properties"]
+        e_bounds = {
+            (spec["minimum"], spec["maximum"])
+            for spec in schema["expectations"]["properties"].values()
+        }
+        assert len(e_bounds) == 1
+        (e_min, e_max), = e_bounds
+        c_min, c_max = schema["chsh"]["minimum"], schema["chsh"]["maximum"]
+
+        def report(e, chsh):
+            return ChshReport(
+                e_ab=e, e_abp=e, e_apb=e, e_apbp=e, chsh=chsh,
+                classical_violated=True, tsirelson_respected=False,
+            )
+
+        for e, chsh in ((e_max, c_max), (e_min, c_min)):
+            report(e, chsh)  # the schema's extremes are reports ChshReport admits
+            with pytest.raises(DataValidationError):
+                report(e * 1.000001, 0.0)
+            with pytest.raises(DataValidationError):
+                report(0.0, chsh * 1.000001)
 
     @pytest.mark.parametrize(
         "value",

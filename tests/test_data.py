@@ -39,6 +39,22 @@ class TestMembershipRecord:
         with pytest.raises(DataValidationError):
             MembershipRecord(exemplar="x", mu_a=math.nan, mu_b=0.5, mu_a_or_b=0.5)
 
+    @pytest.mark.parametrize(
+        "field, column",
+        [("exemplar", "exemplar"), ("concept_a", "conceptA"), ("concept_b", "conceptB")],
+    )
+    @pytest.mark.parametrize("value", [5, None, b"x"])
+    def test_text_fields_must_be_strings(self, field, column, value):
+        # records built in code meet the rule the JSON parser applies
+        kwargs = {"exemplar": "x", "mu_a": 0.5, "mu_b": 0.5, "mu_a_and_b": 0.2, field: value}
+        with pytest.raises(DataValidationError, match=f"{column} must be a string"):
+            MembershipRecord(**kwargs)
+
+    def test_json_text_field_error_names_record(self):
+        doc = json.dumps([{"exemplar": "x", "conceptA": 5, "muA": 0.1, "muB": 0.2, "muAorB": 0.3}])
+        with pytest.raises(DataValidationError, match="record 0: conceptA must be a string"):
+            parse_membership_table(doc, format="json")
+
     def test_needs_at_least_one_combination_weight(self):
         with pytest.raises(DataValidationError, match="no combination weight"):
             MembershipRecord(exemplar="x", mu_a=0.5, mu_b=0.5)
@@ -150,6 +166,18 @@ class TestCoincidenceTable:
         with pytest.raises(DataValidationError):
             CoincidenceOutcome(first="u", second="v", sign=2, p=0.25)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1"])
+    def test_sign_must_be_an_int(self, sign):
+        # outcomes built in code meet the rule the JSON parser applies
+        with pytest.raises(DataValidationError, match="sign must be the integer"):
+            CoincidenceOutcome(first="u", second="v", sign=sign, p=0.25)
+
+    def test_parsed_sign_error_names_block(self):
+        doc = json.loads(DATA_DIR.joinpath("animal_acts_table.json").read_text())
+        doc["ApB"][2]["sign"] = -1.0
+        with pytest.raises(DataValidationError, match="block ApB: .*sign must be the integer"):
+            parse_coincidence(json.dumps(doc))
+
     def test_missing_block_key(self):
         with pytest.raises(SchemaError, match="missing blocks"):
             parse_coincidence(json.dumps({"AB": []}))
@@ -167,11 +195,15 @@ class TestCoincidenceTable:
 
 class TestCountDataset:
     def test_parse_single_object_and_list(self):
-        uniform = parse_count_datasets(DATA_DIR.joinpath("uniform11.json").read_bytes())
+        uniform = parse_count_datasets(
+            DATA_DIR.joinpath("uniform11.json").read_text(encoding="utf-8")
+        )
         assert len(uniform) == 1
         assert uniform[0].n_total == 11
         assert len(uniform[0].observed) == 12
-        planted = parse_count_datasets(DATA_DIR.joinpath("mb_exact_n9.json").read_bytes())
+        planted = parse_count_datasets(
+            DATA_DIR.joinpath("mb_exact_n9.json").read_text(encoding="utf-8")
+        )
         assert planted[0].state_labels == ("Red", "Blue")
 
     def test_length_must_be_n_plus_one(self):
@@ -189,6 +221,12 @@ class TestCountDataset:
     def test_n_total_must_be_positive_integer(self):
         with pytest.raises(DataValidationError):
             CountDataset(category="c", n_total=0, observed=(1.0,))
+
+    @pytest.mark.parametrize("n_total", ["true", "1.0", '"1"'])
+    def test_parsed_n_must_be_an_integer(self, n_total):
+        text = '{"category": "c", "N": %s, "observed": [0.5, 0.5]}' % n_total
+        with pytest.raises(DataValidationError, match=r"^count dataset 0: .*N must be an integer"):
+            parse_count_datasets(text)
 
 
 @settings(max_examples=60)

@@ -16,11 +16,8 @@ from conftest import (
     two_sector_grid_check,
 )
 from qcm import (
-    MIN_INTERFERENCE,
-    MIN_M2,
-    PAIR_KEYS,
+    BLOCKS,
     DataValidationError,
-    FitPolicy,
     FitResult,
     FeasibleSet,
     FockParams,
@@ -28,10 +25,9 @@ from qcm import (
     MembershipRecord,
     PairParams,
     compatibility_notes,
-    eval_conjunction,
-    eval_disjunction,
     eval_general,
     eval_general_record,
+    eval_two_sector,
     fit_general_quadruple,
     fit_two_sector,
     interference_magnitude,
@@ -98,65 +94,51 @@ class TestFockParams:
         assert params.n2 == pytest.approx(0.7, abs=1e-15)
         assert params.theta_rad == pytest.approx(math.radians(50.21), abs=1e-15)
 
-    def test_inert_phases_recorded_without_effect(self):
-        bare = FockParams.from_degrees(0.3, 50.21, "and")
-        phased = FockParams.from_degrees(0.3, 50.21, "and", lambda_deg=12.0, nu_deg=40.0)
-        assert phased.lambda_rad == pytest.approx(math.radians(12.0))
-        value = eval_conjunction(0.87, 0.81, bare).value
-        assert eval_conjunction(0.87, 0.81, phased).value == value
-
 
 class TestTwoSectorEvaluation:
     def test_conjunction_reference_point(self):
         params = FockParams.from_degrees(0.3, 50.21, "and")
-        prediction = eval_conjunction(0.87, 0.81, params)
+        prediction = eval_two_sector(0.87, 0.81, params)
         assert prediction.value == 0.8698160422853267
         assert prediction.in_range
 
     def test_disjunction_reference_point(self):
         params = FockParams.from_degrees(0.03, 155.0, "or")
-        prediction = eval_disjunction(0.4, 0.2, params)
+        prediction = eval_two_sector(0.4, 0.2, params)
         assert prediction.value == 0.05794772376235406
         assert prediction.in_range
 
     def test_borderline_conjunction_point(self):
         params = FockParams.from_degrees(0.77, 0.0, "and")
-        assert eval_conjunction(0.01, 0.95, params).value == pytest.approx(
+        assert eval_two_sector(0.01, 0.95, params).value == pytest.approx(
             0.140133, abs=5e-7
         )
 
     def test_rounded_disjunction_angle_recovers_target(self):
         # the two-decimal angle 135.02 deg at m2=0 lands within 1e-4 of 0.1
         params = FockParams.from_degrees(0.0, 135.02, "or")
-        assert eval_disjunction(0.4, 0.2, params).value == pytest.approx(0.1, abs=1e-4)
+        assert eval_two_sector(0.4, 0.2, params).value == pytest.approx(0.1, abs=1e-4)
 
     def test_sector_two_logical_values(self):
         # at theta=90 deg the interference term drops out, exposing the
         # logical-sector value: product for and, probabilistic sum for or
         conj = FockParams.from_degrees(1.0, 90.0, "and")
         disj = FockParams.from_degrees(1.0, 90.0, "or")
-        assert eval_conjunction(0.6, 0.4, conj).value == pytest.approx(0.24)
-        assert eval_disjunction(0.6, 0.4, disj).value == pytest.approx(0.76)
+        assert eval_two_sector(0.6, 0.4, conj).value == pytest.approx(0.24)
+        assert eval_two_sector(0.6, 0.4, disj).value == pytest.approx(0.76)
 
     def test_sector_one_averaging_limit(self):
         params = FockParams.from_degrees(0.0, 90.0, "and")
-        assert eval_conjunction(0.75, 0.25, params).value == pytest.approx(0.5)
-
-    def test_connective_mismatch_rejected(self):
-        params = FockParams.from_degrees(0.3, 50.21, "or")
-        with pytest.raises(ValueError, match="connective 'and'"):
-            eval_conjunction(0.87, 0.81, params)
-        with pytest.raises(ValueError, match="connective 'or'"):
-            eval_disjunction(0.4, 0.2, FockParams.from_degrees(0.3, 50.21, "and"))
+        assert eval_two_sector(0.75, 0.25, params).value == pytest.approx(0.5)
 
     @settings(max_examples=300)
     @given(mu_a=unit, mu_b=unit, m2=unit, theta=st.floats(min_value=0.0, max_value=math.pi))
     def test_predictions_never_leave_unit_interval(self, mu_a, mu_b, m2, theta):
         # both sector values and the interference-shifted average stay inside
         # [0, 1], so the two-sector model cannot produce out-of-range weights
-        for connective, evaluate in (("and", eval_conjunction), ("or", eval_disjunction)):
+        for connective in ("and", "or"):
             params = FockParams(m2=m2, n2=1.0 - m2, theta_rad=theta, connective=connective)
-            prediction = evaluate(mu_a, mu_b, params)
+            prediction = eval_two_sector(mu_a, mu_b, params)
             assert prediction.in_range
             assert -1e-12 <= prediction.value <= 1.0 + 1e-12
 
@@ -202,7 +184,7 @@ class TestTwoSectorFit:
         # target sits where cos(theta)=0 is reachable at m2 = 0.1923..., so
         # min-interference parks there while min-m2 stays at the left edge
         least_interference = fit_two_sector(0.6, 0.4, 0.45, "and")
-        least_m2 = fit_two_sector(0.6, 0.4, 0.45, "and", policy=MIN_M2)
+        least_m2 = fit_two_sector(0.6, 0.4, 0.45, "and", policy="min-m2")
         assert least_interference.residual <= 1e-9
         assert least_m2.residual <= 1e-9
         assert math.degrees(least_interference.params.theta_rad) == pytest.approx(90.0)
@@ -250,7 +232,7 @@ class TestTwoSectorFit:
             (lambda: fit_two_sector(math.nan, 0.5, 0.3, "or"), "muA"),
             (lambda: interference_magnitude(0.2, -0.1), "muY"),
             (
-                lambda: eval_conjunction(0.5, math.inf, FockParams.from_degrees(0.5, 90.0, "and")),
+                lambda: eval_two_sector(0.5, math.inf, FockParams.from_degrees(0.5, 90.0, "and")),
                 "muB",
             ),
         ],
@@ -262,7 +244,7 @@ class TestTwoSectorFit:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
-            FitPolicy(name="maximize-drama")
+            fit_two_sector(0.6, 0.4, 0.45, "and", policy="maximize-drama")
 
     def test_feasibility_residual_invariant(self):
         with pytest.raises(DataValidationError, match="residual"):
@@ -277,9 +259,9 @@ class TestTwoSectorFit:
     @settings(max_examples=150, deadline=None)
     @given(mu_a=unit, mu_b=unit, target=unit)
     def test_feasible_fits_reproduce_their_target(self, mu_a, mu_b, target):
-        for connective, evaluate in (("and", eval_conjunction), ("or", eval_disjunction)):
+        for connective in ("and", "or"):
             result = fit_two_sector(mu_a, mu_b, target, connective)
-            value = evaluate(mu_a, mu_b, result.params).value
+            value = eval_two_sector(mu_a, mu_b, result.params).value
             if result.feasible:
                 assert abs(value - target) <= 1e-9
             else:
@@ -342,7 +324,7 @@ REFERENCE_PAIR_VALUES = {
 
 def reference_general_params() -> GeneralFockParams:
     pairs = []
-    for key in PAIR_KEYS:
+    for key in BLOCKS:
         m, n, alpha, beta, phi_deg = REFERENCE_PAIR_VALUES[key]
         pairs.append(
             PairParams(
@@ -361,8 +343,8 @@ class TestGeneralModelFit:
             "ApB": 0.177454,
             "ApBp": 0.424051,
         }
-        targets = dict(zip(PAIR_KEYS, joint_targets(goldfish_record)))
-        for key in PAIR_KEYS:
+        targets = dict(zip(BLOCKS, joint_targets(goldfish_record)))
+        for key in BLOCKS:
             assert predictions[key].value == pytest.approx(expected[key], abs=1e-6)
             assert abs(predictions[key].value - targets[key]) < 0.02
             assert predictions[key].in_range
@@ -372,13 +354,13 @@ class TestGeneralModelFit:
         assert result.feasible
         assert result.residual <= 1e-9
         predictions = eval_general_record(goldfish_record, result.params)
-        targets = dict(zip(PAIR_KEYS, joint_targets(goldfish_record)))
-        for key in PAIR_KEYS:
+        targets = dict(zip(BLOCKS, joint_targets(goldfish_record)))
+        for key in BLOCKS:
             assert predictions[key].value == pytest.approx(targets[key], abs=1e-9)
 
     def test_fit_respects_marginal_slack(self, goldfish_record):
         result = fit_general_quadruple(goldfish_record)
-        alphas = {key: result.params.pair(key).alpha for key in PAIR_KEYS}
+        alphas = {key: result.params.pair(key).alpha for key in BLOCKS}
         assert abs(alphas["AB"] + alphas["ABp"] - 0.93) <= 0.05 + 1e-9
         assert abs(alphas["AB"] + alphas["ApB"] - 0.17) <= 0.05 + 1e-9
 
@@ -393,8 +375,8 @@ class TestGeneralModelFit:
         result = fit_general_quadruple(record)
         assert result.feasible
         assert result.residual <= 1e-12
-        targets = dict(zip(PAIR_KEYS, joint_targets(record)))
-        for key in PAIR_KEYS:
+        targets = dict(zip(BLOCKS, joint_targets(record)))
+        for key in BLOCKS:
             fitted = result.params.pair(key)
             assert fitted.m2 == 1.0
             assert fitted.alpha == pytest.approx(targets[key], abs=1e-12)
@@ -453,8 +435,7 @@ class TestCompatibilityNotes:
         # predicted is literally the closed form evaluated at the quoted
         # parameters, so re-evaluating must agree exactly
         for note in compatibility_notes():
-            evaluate = eval_conjunction if note.connective == "and" else eval_disjunction
-            assert evaluate(note.mu_a, note.mu_b, note.params).value == note.predicted
+            assert eval_two_sector(note.mu_a, note.mu_b, note.params).value == note.predicted
 
     def test_exact_fit_exists_despite_quoted_gap(self):
         # a feasible (m2, theta) always exists for these targets: the gaps

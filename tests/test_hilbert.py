@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -23,17 +24,15 @@ from qcm import (
     DataValidationError,
     Observable4,
     SchemaError,
-    VerifyTolerances,
     expectation,
     expectations_from_table,
     marginal_law_check,
     operator_product_test,
     parse_model,
-    realign,
     state_schmidt,
     verify_reference_model,
 )
-from qcm.hilbert import _eigvalsh
+from qcm.hilbert import _eigvalsh, realign
 
 SIGMA_Z = np.diag([1.0, -1.0])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -62,9 +61,9 @@ class TestComplexVector4:
 
     def test_norm_tolerance_window(self):
         # reference amplitudes are quoted to two decimals; norm 0.9999 passes
-        ComplexVector4((0.23, 0.62, 0.75, 0.0), norm_tol=1e-3)
-        with pytest.raises(DataValidationError):
-            ComplexVector4((0.23, 0.62, 0.75, 0.0), norm_tol=1e-6)
+        ComplexVector4((0.23, 0.62, 0.75, 0.0))
+        with pytest.raises(DataValidationError, match="by more than 0.001"):
+            ComplexVector4((0.23, 0.62, 0.75, 0.05))  # norm 1.00115
 
     def test_non_state_vectors_skip_the_norm_check(self):
         ComplexVector4((3.0, 4.0, 0.0, 0.0), is_state=False)
@@ -171,6 +170,28 @@ class TestChshFromTable:
                 e_apb=0.0,
                 e_apbp=0.0,
                 chsh=-1.5,
+                classical_violated=False,
+                tsirelson_respected=True,
+            )
+
+    def test_report_bounds_admit_every_parsable_table(self):
+        # a block may sum to 1.001, so |E| may reach 1.001 and |CHSH| 4.004
+        ChshReport(
+            e_ab=-1.001,
+            e_abp=1.001,
+            e_apb=1.001,
+            e_apbp=1.001,
+            chsh=4.004,
+            classical_violated=True,
+            tsirelson_respected=False,
+        )
+        with pytest.raises(DataValidationError, match=r"outside \[-1.001, 1.001\]"):
+            ChshReport(
+                e_ab=1.0011,
+                e_abp=0.0,
+                e_apb=0.0,
+                e_apbp=0.0,
+                chsh=-1.0011,
                 classical_violated=False,
                 tsirelson_respected=True,
             )
@@ -390,10 +411,18 @@ class TestVerifyReferenceModel:
         assert not report.check("box_classification").passed
 
     def test_tightened_tolerance_fails_expectations(self, animal_model, animal_table):
-        strict = VerifyTolerances(expectation=1e-4)
-        report = verify_reference_model(animal_model, animal_table, strict)
+        # moving 0.015 of A'B's probability from a +1 to a -1 outcome lowers the
+        # table's E(A',B) from 0.655 to 0.625; the model's 0.6503 then misses it
+        # by 0.0253, past the 0.02 expectation tolerance
+        block = list(animal_table.apb)
+        plus = next(i for i, o in enumerate(block) if o.sign == 1)
+        minus = next(i for i, o in enumerate(block) if o.sign == -1)
+        block[plus] = dataclasses.replace(block[plus], p=block[plus].p - 0.015)
+        block[minus] = dataclasses.replace(block[minus], p=block[minus].p + 0.015)
+        perturbed = dataclasses.replace(animal_table, apb=tuple(block))
+        report = verify_reference_model(animal_model, perturbed)
         assert not report.all_passed
-        assert report.check("expectation[AB]").passed  # exact to 4 decimals
+        assert report.check("expectation[AB]").passed
         assert not report.check("expectation[ApB]").passed
 
     def test_huge_state_fails_norm_check_without_overflow(self, animal_model, animal_table):
