@@ -36,12 +36,14 @@ from typing import Sequence
 
 from .data import (
     BLOCKS,
+    FIT_POLICIES,
     _load_json,
+    _object,
     parse_coincidence,
     parse_count_datasets,
     parse_membership_table,
 )
-from .errors import DataValidationError, QcmError
+from .errors import DataValidationError, QcmError, SchemaError
 
 
 def _lazy_submodule(name: str):
@@ -78,6 +80,9 @@ class UsageError(QcmError):
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract wants 1, so route
     # through an exception the driver can catch
+    def __init__(self, **kwargs):  # flags are spelled in full, as manifest run keys are
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -282,7 +287,6 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
 
     fits = []
     if args.mode == "two-sector":
-        setting = {"policy": args.policy}
         for record in records:
             for connective, column in (("and", "muAandB"), ("or", "muAorB")):
                 if not record.has(column):
@@ -311,7 +315,6 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                     }
                 )
     else:
-        setting = {"seed": args.seed}
         for record in records:
             if not (record.negation_complete() and record.has("muAandB")):
                 continue
@@ -342,7 +345,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
         "report": "fock-fit",
         "mode": args.mode,
         "input": name,
-        **setting,
+        **({"policy": args.policy} if args.mode == "two-sector" else {}),
         "tolerance": tolerance,
         "fits": fits,
     }
@@ -380,7 +383,7 @@ def _render_fock_fit(payload: dict) -> list[str]:
     lines = [
         f"fock fit report: {payload['input']}",
         f"mode: {payload['mode']}",
-        f"policy: {payload['policy']}" if two_sector else f"seed: {payload['seed']}",
+        *([f"policy: {payload['policy']}"] if two_sector else []),
         f"tolerance: {payload['tolerance']!r}",
     ]
     for index, fit in enumerate(payload["fits"], start=1):
@@ -436,7 +439,7 @@ _EXPECTATION_LABELS = {
 
 
 def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
-    tolerance = _resolve_tolerance(args.tolerance, 0.01)
+    tolerance = _resolve_tolerance(args.tolerance, hilbert.MARGINAL_TOLERANCE)
     table = parse_coincidence(_read_input(args.input))
     name = _input_name(args.input)
     report = hilbert.expectations_from_table(table)
@@ -586,9 +589,9 @@ _MANIFEST_COMMANDS = ("classicality", "fock-fit", "chsh", "stats-fit")
 
 
 def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
-    manifest = _load_json(_read_input(args.manifest), "manifest")
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
-        raise DataValidationError("manifest: expected an object with a 'runs' array")
+    manifest = _object(_load_json(_read_input(args.manifest), "manifest"), "manifest", ("runs",))
+    if not isinstance(manifest["runs"], list):
+        raise SchemaError("manifest: runs must be an array")
     base = "" if args.manifest == "-" else os.path.dirname(os.path.abspath(args.manifest))
 
     def resolve(path: str) -> str:
@@ -599,24 +602,32 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     run_payloads = []
     all_charts: list[svg.Chart] = []
     for index, run in enumerate(manifest["runs"], start=1):
+        context = f"manifest run {index}"
         if not isinstance(run, dict) or "command" not in run:
-            raise DataValidationError(f"manifest run {index}: missing 'command'")
+            raise DataValidationError(f"{context}: missing 'command'")
         command = run["command"]
         if command not in _MANIFEST_COMMANDS:
-            raise DataValidationError(
-                f"manifest run {index}: unknown command {command!r}"
-            )
-        if "input" not in run:
-            raise DataValidationError(f"manifest run {index}: missing 'input'")
-        argv = [command, "--input", resolve(str(run["input"]))]
-        for key in ("format", "mode", "policy", "model", "tolerance", "seed"):
-            if key in run:
-                value = str(run[key])
-                argv.extend([f"--{key}", resolve(value) if key == "model" else value])
+            raise DataValidationError(f"{context}: unknown command {command!r}")
         name = run.get("name", f"run {index}")
         if not isinstance(name, str):
-            raise DataValidationError(f"manifest run {index}: 'name' must be a string")
-        sub_args = _build_parser().parse_args(argv)
+            raise DataValidationError(f"{context}: 'name' must be a string")
+        # every other key is one of the command's own flags, spelled in full
+        flags = {}
+        for key, value in run.items():
+            if key in ("command", "name"):
+                continue
+            if key in ("output", "plot"):
+                raise DataValidationError(f"{context}: {key!r} is set on qcm report, not per run")
+            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+                raise DataValidationError(
+                    f"{context}: {key!r} must be a string or a number, got {value!r:.40}"
+                )
+            value = str(value)
+            flags[f"--{key}={resolve(value) if key in ('input', 'model') else value}"] = key
+        sub_args, unknown = _build_parser().parse_known_args([command, *flags])
+        if unknown:
+            keys = [flags[arg] for arg in unknown]
+            raise UsageError(f"{_PROG}: error: {context}: {command} has no flag for keys {keys}")
         payload, charts = _COMMANDS[command][0](sub_args, plot)
         run_payloads.append({"name": name, "command": command, "report": payload})
         all_charts.extend(charts)
@@ -672,12 +683,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="membership table path or -")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--mode", choices=("two-sector", "general"), default="two-sector")
-    p.add_argument(
-        "--policy", choices=("min-interference", "min-m2"), default="min-interference"
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="accepted and echoed only; the general fit is exact"
-    )
+    p.add_argument("--policy", choices=FIT_POLICIES, default="min-interference")
     common(p)
 
     p = sub.add_parser("chsh", help="CHSH and marginal-law analysis of a coincidence table")

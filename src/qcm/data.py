@@ -74,6 +74,9 @@ BLOCKS = ("AB", "ABp", "ApB", "ApBp")
 
 BLOCK_SUM_TOLERANCE = 1e-3  # published tables are 3-decimal rounded
 
+# fock.fit_two_sector's policies; here so the CLI can list them without loading fock
+FIT_POLICIES = ("min-interference", "min-m2")
+
 Format = Literal["csv", "json"]
 
 
@@ -86,6 +89,20 @@ def _load_json(text: str, what: str):
         raise SchemaError(f"{what}: invalid JSON: {exc}") from None
     except (RecursionError, UnicodeEncodeError) as exc:
         raise SchemaError(f"{what}: unsupported JSON: {exc}") from None
+    return doc
+
+
+def _object(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """The one key rule: a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what}: expected a JSON object")
+    unknown = [key for key in doc if key not in required and key not in optional]
+    if unknown:
+        raise SchemaError(f"{what}: unknown keys {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise SchemaError(f"{what}: missing keys {missing}")
     return doc
 
 
@@ -242,14 +259,8 @@ def _membership_from_json(text: str) -> list[MembershipRecord]:
     records = []
     for index, item in enumerate(doc):
         context = f"record {index}"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{context}: expected an object")
-        fields = {}
-        for key, value in item.items():
-            if key not in MEMBERSHIP_COLUMNS:
-                raise SchemaError(f"{context}: unknown key {key!r}")
-            if value is not None:
-                fields[key] = value
+        fields = _object(item, context, (), MEMBERSHIP_COLUMNS)
+        fields = {key: value for key, value in fields.items() if value is not None}
         records.append(_record_from_fields(fields, context))
     return records
 
@@ -264,6 +275,10 @@ class CoincidenceOutcome:
     p: float
 
     def __post_init__(self):
+        for name in ("first", "second"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise DataValidationError(f"outcome {name} must be a string, got {value!r:.40}")
         if type(self.sign) is not int or self.sign not in (1, -1):  # a bool is not a sign
             raise DataValidationError(
                 f"outcome ({self.first!r}, {self.second!r}): sign must be the integer "
@@ -329,35 +344,17 @@ def parse_coincidence(text: str) -> CoincidenceTable:
     Document shape: an object with exactly the keys AB, ABp, ApB, ApBp,
     each a list of four outcome objects {"first", "second", "sign", "p"}.
     """
-    doc = _load_json(text, "coincidence table")
-    if not isinstance(doc, dict):
-        raise SchemaError("coincidence table: expected a JSON object")
-    unknown = set(doc) - set(BLOCKS)
-    if unknown:
-        raise SchemaError(f"coincidence table: unknown block keys {sorted(unknown)}")
-    missing = [key for key in BLOCKS if key not in doc]
-    if missing:
-        raise SchemaError(f"coincidence table: missing blocks {missing}")
+    doc = _object(_load_json(text, "coincidence table"), "coincidence table", BLOCKS)
     parsed = {}
     for key in BLOCKS:
         entries = doc[key]
         if not isinstance(entries, list):
             raise SchemaError(f"block {key}: expected a list of outcomes")
         outcomes = []
-        for entry in entries:
-            if not isinstance(entry, dict) or not {"first", "second", "sign", "p"} <= set(entry):
-                raise SchemaError(
-                    f"block {key}: each outcome needs keys first/second/sign/p"
-                )
+        for index, entry in enumerate(entries):
+            _object(entry, f"block {key}: outcome {index}", ("first", "second", "sign", "p"))
             try:
-                outcomes.append(
-                    CoincidenceOutcome(
-                        first=str(entry["first"]),
-                        second=str(entry["second"]),
-                        sign=entry["sign"],
-                        p=entry["p"],
-                    )
-                )
+                outcomes.append(CoincidenceOutcome(**entry))
             except DataValidationError as exc:
                 raise DataValidationError(f"block {key}: {exc}") from None
         parsed[key] = tuple(outcomes)
@@ -382,6 +379,8 @@ class CountDataset:
     SUM_TOLERANCE = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.category, str):
+            raise DataValidationError(f"category must be a string, got {self.category!r:.40}")
         if not isinstance(self.n_total, int) or isinstance(self.n_total, bool) or self.n_total < 1:
             raise DataValidationError(
                 f"dataset {self.category!r}: N must be an integer >= 1, got {self.n_total!r}"
@@ -392,9 +391,10 @@ class CountDataset:
         )
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
-        if len(self.state_labels) != 2:
+        if len(self.state_labels) != 2 or not all(isinstance(s, str) for s in self.state_labels):
             raise DataValidationError(
-                f"dataset {self.category!r}: exactly two state labels required"
+                f"dataset {self.category!r}: exactly two string state labels required, "
+                f"got {self.state_labels!r:.60}"
             )
         if len(observed) != self.n_total + 1:
             raise DataValidationError(
@@ -420,24 +420,20 @@ def parse_count_datasets(text: str) -> list[CountDataset]:
     items = doc if isinstance(doc, list) else [doc]
     datasets = []
     for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise SchemaError(f"count dataset {index}: expected an object")
-        for key in ("category", "N", "observed"):
-            if key not in item:
-                raise SchemaError(f"count dataset {index}: missing key {key!r}")
-        if not isinstance(item["observed"], list):
-            raise SchemaError(f"count dataset {index}: observed must be an array")
+        context = f"count dataset {index}"
+        _object(item, context, ("category", "N", "observed"), ("stateLabels",))
         labels = item.get("stateLabels", ["state1", "state2"])
-        if not isinstance(labels, list) or len(labels) != 2:
-            raise SchemaError(f"count dataset {index}: stateLabels must be a pair")
+        for key, value in (("observed", item["observed"]), ("stateLabels", labels)):
+            if not isinstance(value, list):
+                raise SchemaError(f"{context}: {key} must be an array")
         try:
             dataset = CountDataset(
-                category=str(item["category"]),
+                category=item["category"],
                 n_total=item["N"],
                 observed=tuple(item["observed"]),
-                state_labels=(str(labels[0]), str(labels[1])),
+                state_labels=tuple(labels),
             )
         except DataValidationError as exc:
-            raise DataValidationError(f"count dataset {index}: {exc}") from None
+            raise DataValidationError(f"{context}: {exc}") from None
         datasets.append(dataset)
     return datasets

@@ -27,14 +27,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .data import BLOCKS, _BLOCK_ATTR, MembershipRecord, _check_unit_interval
+from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, _check_unit_interval
 from .errors import DataValidationError
 
 FIT_TOLERANCE = 1e-9
 
 ALPHA_SUM_TOLERANCE = 1e-9  # the general model's alpha coefficients sum to 1 within this
-
-_POLICIES = ("min-interference", "min-m2")
 
 _EPS = 1e-12
 
@@ -277,7 +275,7 @@ def fit_two_sector(
     target = _check_unit_interval(target, "target")
     if connective not in ("and", "or"):
         raise ValueError(f"connective must be 'and' or 'or', got {connective!r}")
-    if policy not in _POLICIES:
+    if policy not in FIT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
 
     logical = _logical(mu_a, mu_b, connective)

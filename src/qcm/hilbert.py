@@ -31,7 +31,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .data import BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _to_float
+from .data import BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _object, _to_float
 from .errors import DataValidationError, SchemaError
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -44,6 +44,7 @@ TRACE_TOLERANCE = 0.05  # |trace| of an observable
 EXPECTATION_TOLERANCE = 0.02  # |<p|E|p> - table expectation| in model verification
 STATE_RANK_TOLERANCE = 1e-6  # a state's Schmidt coefficients at or below this count as 0
 OPERATOR_RANK_TOLERANCE = 1e-6  # the same for operator-Schmidt ones, relative to the largest
+MARGINAL_TOLERANCE = 0.01  # default |difference| of a shared marginal across two blocks
 
 NONLOCAL_NON_MARGINAL_BOX_1 = "nonlocal non-marginal box modeling 1"
 
@@ -301,7 +302,7 @@ _MARGINAL_PAIRINGS = (
 
 
 def marginal_law_check(
-    table: CoincidenceTable, tolerance: float = 0.01
+    table: CoincidenceTable, tolerance: float = MARGINAL_TOLERANCE
 ) -> tuple[MarginalComparison, ...]:
     """Compare each shared single-measurement marginal across block pairs.
 
@@ -448,14 +449,15 @@ def _parse_complex(value, context: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_model_number(value, context), 0.0)
     if isinstance(value, dict):
-        if {"re", "im"} <= set(value):
+        if "re" in value or "im" in value:
+            _object(value, context, ("re", "im"))
             return complex(
                 _model_number(value["re"], context), _model_number(value["im"], context)
             )
-        if {"mod", "argDeg"} <= set(value):
-            arg = math.radians(_model_number(value["argDeg"], context))
-            mod = _model_number(value["mod"], context)
-            return complex(mod * math.cos(arg), mod * math.sin(arg))
+        _object(value, context, ("mod", "argDeg"))
+        arg = math.radians(_model_number(value["argDeg"], context))
+        mod = _model_number(value["mod"], context)
+        return complex(mod * math.cos(arg), mod * math.sin(arg))
     raise SchemaError(
         f"{context}: complex numbers must be a number, {{re, im}}, or {{mod, argDeg}}"
     )
@@ -463,20 +465,13 @@ def _parse_complex(value, context: str) -> complex:
 
 def parse_model(text: str) -> HilbertModel:
     """Parse a model file: {"state": [complex x4], "operators": {block: 4x4}}."""
-    doc = _load_json(text, "hilbert model")
-    if not isinstance(doc, dict) or "state" not in doc or "operators" not in doc:
-        raise SchemaError("hilbert model: expected object with keys state/operators")
+    doc = _object(_load_json(text, "hilbert model"), "hilbert model", ("state", "operators"))
     state_doc = doc["state"]
     if not isinstance(state_doc, list) or len(state_doc) != 4:
         raise SchemaError("hilbert model: state must be a list of 4 complex numbers")
     state = tuple(_parse_complex(v, f"state[{i}]") for i, v in enumerate(state_doc))
-    operators_doc = doc["operators"]
-    if not isinstance(operators_doc, dict):
-        raise SchemaError("hilbert model: operators must be an object")
     operators = {}
-    for key, rows in operators_doc.items():
-        if key not in BLOCKS:
-            raise SchemaError(f"hilbert model: unknown operator key {key!r}")
+    for key, rows in _object(doc["operators"], "hilbert model operators", BLOCKS).items():
         if not isinstance(rows, list) or len(rows) != 4 or any(
             not isinstance(row, list) or len(row) != 4 for row in rows
         ):
@@ -512,7 +507,7 @@ class ModelVerificationReport:
 def verify_reference_model(
     model: HilbertModel,
     table: CoincidenceTable,
-    marginal_tolerance: float = 0.01,
+    marginal_tolerance: float = MARGINAL_TOLERANCE,
 ) -> ModelVerificationReport:
     """Run every model check against the observed coincidence table.
 

@@ -440,6 +440,89 @@ class TestReportManifest:
         assert cli._build_parser() is cli._build_parser()
 
 
+    def test_run_confidence_reaches_the_report(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "classicality", "input": str(DATA_DIR / "negation_demo.csv"),
+             "confidence": 0.5},
+        ]}))
+        assert main(["report", "--manifest", str(manifest), "--output", "json"]) == 0
+        statistics = json.loads(capsys.readouterr().out)["runs"][0]["report"]["profileStatistics"]
+        assert statistics["confidence"] == 0.5
+
+    @pytest.mark.parametrize("key, value", [("output", "json"), ("plot", "run.svg")])
+    def test_report_flags_are_not_run_keys(self, tmp_path, capsys, key, value):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "stats-fit", "input": str(DATA_DIR / "uniform11.json"), key: value},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"qcm: error: manifest run 1: {key!r} is set on qcm report, not per run\n"
+        )
+
+    @pytest.mark.parametrize("value", [None, True, [0.5], {"x": 1}])
+    def test_run_values_are_strings_or_numbers(self, tmp_path, capsys, value):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "stats-fit", "input": str(DATA_DIR / "uniform11.json"),
+             "tolerance": value},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 1
+        assert "manifest run 1: 'tolerance' must be a string or a number" in capsys.readouterr().err
+
+    def test_run_keys_are_full_flag_names(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "classicality", "input": str(DATA_DIR / "goldfish.csv"), "tol": 0.5},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 1
+        assert "manifest run 1: classicality has no flag for keys ['tol']" in (
+            capsys.readouterr().err
+        )
+
+
+_TABLE = str(DATA_DIR / "animal_acts_table.json")
+_RECORD = {"exemplar": "x", "muA": 0.5, "muB": 0.5, "muAandB": 0.2}
+
+
+@pytest.mark.parametrize(
+    "argv, document, path",
+    [
+        (["classicality", "--input", "{doc}"], [_RECORD], (0,)),
+        (["chsh", "--input", "{doc}"], "animal_acts_table.json", ()),
+        (["chsh", "--input", "{doc}"], "animal_acts_table.json", ("ABp", 2)),
+        (["stats-fit", "--input", "{doc}"], "uniform11.json", ()),
+        (["chsh", "--input", _TABLE, "--model", "{doc}"], "animal_acts_model.json", ()),
+        (["chsh", "--input", _TABLE, "--model", "{doc}"], "animal_acts_model.json",
+         ("operators",)),
+        (["chsh", "--input", _TABLE, "--model", "{doc}"], "animal_acts_model.json",
+         ("state", 1)),
+        (["report", "--manifest", "{doc}"], "report_manifest.json", ()),
+        (["report", "--manifest", "{doc}"], "report_manifest.json", ("runs", 0)),
+    ],
+    ids=[
+        "membership-record", "coincidence-table", "coincidence-outcome", "count-dataset",
+        "model", "model-operators", "model-complex-number", "manifest", "manifest-run",
+    ],
+)
+def test_unknown_key_in_any_document_is_named(tmp_path, capsys, argv, document, path):
+    # one key rule: a misspelled key exits 1 and is named, never silently ignored
+    if isinstance(document, str):
+        document = json.loads((DATA_DIR / document).read_text(encoding="utf-8"))
+    target = document
+    for step in path:
+        target = target[step]
+    target["tolerence"] = 0.5
+    (tmp_path / "doc.json").write_text(json.dumps(document))
+    assert main([arg.replace("{doc}", str(tmp_path / "doc.json")) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'tolerence'" in captured.err
+
+
 class TestRequiredSubstrings:
     def test_chsh_value_line(self):
         proc = run_cli(["chsh", "--input", "data/animal_acts_table.json"])
@@ -449,15 +532,15 @@ class TestRequiredSubstrings:
         proc = run_cli(["stats-fit", "--input", "data/uniform11.json"])
         assert "winner BE" in proc.stdout
 
-    def test_general_fit_seed_is_only_echoed(self, capsys):
-        args = ["fock-fit", "--input", str(DATA_DIR / "goldfish.csv"), "--mode", "general"]
-        for output, echo in (("text", "seed: {}"), ("json", '"seed": {},')):
-            assert main([*args, "--seed", "0", "--output", output]) == 0
-            zero = capsys.readouterr().out
-            assert main([*args, "--seed", "7", "--output", output]) == 0
-            seven = capsys.readouterr().out
-            assert echo.format(0) in zero
-            assert seven == zero.replace(echo.format(0), echo.format(7), 1)
+    def test_flags_are_spelled_in_full(self, capsys):
+        argv = ["classicality", "--input", str(DATA_DIR / "goldfish.csv"), "--tol", "0.5"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
+    def test_fock_fit_has_no_seed_flag(self, capsys):
+        argv = ["fock-fit", "--input", str(DATA_DIR / "goldfish.csv"), "--mode", "general"]
+        assert main([*argv, "--seed", "7"]) == 1
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_negative_zero_never_printed(self):
         # formatting rounds tiny negatives to -0.0000 unless normalized

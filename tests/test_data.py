@@ -172,6 +172,19 @@ class TestCoincidenceTable:
         with pytest.raises(DataValidationError, match="sign must be the integer"):
             CoincidenceOutcome(first="u", second="v", sign=sign, p=0.25)
 
+    @pytest.mark.parametrize("field", ["first", "second"])
+    @pytest.mark.parametrize("value", [None, [1], False, 5])
+    def test_labels_must_be_strings(self, field, value):
+        kwargs = {"first": "u", "second": "v", "sign": 1, "p": 0.25, field: value}
+        with pytest.raises(DataValidationError, match=f"{field} must be a string"):
+            CoincidenceOutcome(**kwargs)
+
+    def test_parsed_label_error_names_block(self):
+        doc = json.loads(DATA_DIR.joinpath("animal_acts_table.json").read_text())
+        doc["ABp"][1]["first"] = None
+        with pytest.raises(DataValidationError, match="block ABp: .*first must be a string"):
+            parse_coincidence(json.dumps(doc))
+
     def test_parsed_sign_error_names_block(self):
         doc = json.loads(DATA_DIR.joinpath("animal_acts_table.json").read_text())
         doc["ApB"][2]["sign"] = -1.0
@@ -179,7 +192,7 @@ class TestCoincidenceTable:
             parse_coincidence(json.dumps(doc))
 
     def test_missing_block_key(self):
-        with pytest.raises(SchemaError, match="missing blocks"):
+        with pytest.raises(SchemaError, match=r"missing keys \['ABp', 'ApB', 'ApBp'\]"):
             parse_coincidence(json.dumps({"AB": []}))
 
     def test_unknown_block_key(self):
@@ -221,6 +234,22 @@ class TestCountDataset:
     def test_n_total_must_be_positive_integer(self):
         with pytest.raises(DataValidationError):
             CountDataset(category="c", n_total=0, observed=(1.0,))
+
+    @pytest.mark.parametrize("category", [None, [1], False, 5])
+    def test_category_must_be_a_string(self, category):
+        with pytest.raises(DataValidationError, match="category must be a string"):
+            CountDataset(category=category, n_total=1, observed=(0.5, 0.5))
+
+    @pytest.mark.parametrize("labels", [(None, "b"), ("a", [1]), (False, "b"), ("a", 5)])
+    def test_state_labels_must_be_strings(self, labels):
+        with pytest.raises(DataValidationError, match="two string state labels"):
+            CountDataset(category="c", n_total=1, observed=(0.5, 0.5), state_labels=labels)
+
+    @pytest.mark.parametrize("labels", ['["a"]', '["a", "b", "c"]', '"ab"', '[null, "b"]'])
+    def test_parsed_state_labels_must_be_a_pair_of_strings(self, labels):
+        text = '{"category": "c", "N": 1, "observed": [0.5, 0.5], "stateLabels": %s}' % labels
+        with pytest.raises((DataValidationError, SchemaError), match=r"^count dataset 0: "):
+            parse_count_datasets(text)
 
     @pytest.mark.parametrize("n_total", ["true", "1.0", '"1"'])
     def test_parsed_n_must_be_an_integer(self, n_total):

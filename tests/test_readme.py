@@ -1,16 +1,20 @@
-"""README: its Python examples run, and its overview names only real functions."""
+"""README: its Python and CLI examples run, and its overview names only real functions."""
 
 from __future__ import annotations
 
 import re
+import shlex
 
 import pytest
 
 import qcm
 from conftest import REPO_ROOT
+from qcm.cli import main
 
 README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+CLI_BLOCK = re.search(r"^## CLI\n\n```\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)[1]
+CLI_LINES = CLI_BLOCK.splitlines()
 
 
 def test_readme_has_python_examples():
@@ -21,6 +25,23 @@ def test_readme_has_python_examples():
 def test_python_block_runs_from_repo_root(index, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index}", "exec"), {})
+    assert capsys.readouterr().out != ""
+
+
+def test_readme_has_cli_examples():
+    assert len(CLI_LINES) >= 5
+    assert all(line.startswith("qcm ") for line in CLI_LINES)
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_example_exits_zero(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
+    argv = shlex.split(line)[1:]
+    if "--plot" in argv:
+        at = argv.index("--plot") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0, capsys.readouterr().err
     assert capsys.readouterr().out != ""
 
 
