@@ -38,14 +38,11 @@ _EXPORTS = {
     "classicality": (
         "DEFAULT_TOLERANCE",
         "PROFILE_KEYS",
-        "REFERENCE_MEAN_BANDS",
         "ClassicalityVerdict",
         "DeviationProfile",
-        "BandCheck",
         "check_conjunction",
         "check_disjunction",
         "check_negation",
-        "check_reference_bands",
         "deviation_profile",
         "profile_statistics",
     ),
@@ -65,7 +62,6 @@ _EXPORTS = {
         "fit_general_quadruple",
         "joint_targets",
         "record_marginals",
-        "compatibility_notes",
     ),
     "hilbert": (
         "TSIRELSON_BOUND",

@@ -17,7 +17,7 @@ exactly on (-0.5, -0.5, -0.5, -0.5, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .data import MembershipRecord, _check_unit_interval
 from .errors import DataValidationError, InsufficientDataError
@@ -26,17 +26,6 @@ from .stats import RegressionResult, linear_regression
 DEFAULT_TOLERANCE = 1e-9
 
 PROFILE_KEYS = ("iA", "iB", "iAp", "iBp", "iTotal")
-
-# 95% confidence bands on the mean of each deviation quantity reported by
-# the reference conjunction-negation experiments; used as a cross-dataset
-# sanity check, not as a fit target.
-REFERENCE_MEAN_BANDS: Mapping[str, tuple[float, float]] = {
-    "iA": (-0.51, -0.33),
-    "iB": (-0.52, -0.34),
-    "iAp": (-0.42, -0.28),
-    "iBp": (-0.40, -0.26),
-    "iTotal": (-0.97, -0.64),
-}
 
 
 @dataclass(frozen=True)
@@ -185,24 +174,3 @@ def profile_statistics(
         result[key] = linear_regression(xs, ys, confidence)
     return result
 
-
-@dataclass(frozen=True)
-class BandCheck:
-    mean: float
-    lower: float
-    upper: float
-    within: bool
-
-
-def check_reference_bands(
-    statistics: Mapping[str, RegressionResult],
-    bands: Mapping[str, tuple[float, float]] = REFERENCE_MEAN_BANDS,
-) -> dict[str, BandCheck]:
-    """Compare per-quantity means against the reference confidence bands."""
-    checks = {}
-    for key, (lower, upper) in bands.items():
-        mean = statistics[key].mean
-        checks[key] = BandCheck(
-            mean=mean, lower=lower, upper=upper, within=lower < mean < upper
-        )
-    return checks

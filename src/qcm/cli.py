@@ -17,8 +17,7 @@ A command executes only the analysis modules it calls: ``cls``, ``fock``,
 modules, and charts are built only for ``--plot``.
 
 Exit codes: 0 success, 1 bad data or usage (a ``QcmError``), 2 I/O error;
-any other exception is a bug and keeps its traceback.  QCM_TOLERANCE
-overrides per-command default tolerances; --tolerance wins over it.
+any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -96,20 +95,10 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _resolve_tolerance(flag_value: float | None, default: float) -> float:
-    if flag_value is not None:
-        value, source = flag_value, "--tolerance"
-    else:
-        env = os.environ.get("QCM_TOLERANCE")
-        if env is None or env.strip() == "":
-            return default
-        try:
-            value, source = float(env), "QCM_TOLERANCE"
-        except ValueError:
-            raise DataValidationError(f"QCM_TOLERANCE is not a number: {env!r}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise DataValidationError(f"{source} must be a finite number > 0, got {value!r}")
-    return value
+def _resolve_tolerance(value: float | None, default: float) -> float:
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise DataValidationError(f"--tolerance must be a finite number > 0, got {value!r}")
+    return default if value is None else value
 
 
 def _input_name(path: str) -> str:
@@ -439,6 +428,8 @@ _EXPECTATION_LABELS = {
 
 
 def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
+    if args.input == "-" and args.model == "-":
+        raise UsageError(f"{_PROG}: error: --input and --model cannot both read stdin")
     tolerance = _resolve_tolerance(args.tolerance, hilbert.MARGINAL_TOLERANCE)
     table = parse_coincidence(_read_input(args.input))
     name = _input_name(args.input)
@@ -599,6 +590,7 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             return path
         return os.path.join(base, path)
 
+    stdin_read = args.manifest == "-"  # stdin holds one document per process
     run_payloads = []
     all_charts: list[svg.Chart] = []
     for index, run in enumerate(manifest["runs"], start=1):
@@ -623,7 +615,12 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                     f"{context}: {key!r} must be a string or a number, got {value!r:.40}"
                 )
             value = str(value)
-            flags[f"--{key}={resolve(value) if key in ('input', 'model') else value}"] = key
+            if key in ("input", "model"):
+                if value == "-" and stdin_read:
+                    raise UsageError(f"{_PROG}: error: {context}: {key} '-' reads stdin again")
+                stdin_read = stdin_read or value == "-"
+                value = resolve(value)
+            flags[f"--{key}={value}"] = key
         sub_args, unknown = _build_parser().parse_known_args([command, *flags])
         if unknown:
             keys = [flags[arg] for arg in unknown]

@@ -81,8 +81,15 @@ Format = Literal["csv", "json"]
 
 
 def _load_json(text: str, what: str):
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):  # json.loads alone keeps the last of two equal keys
+            keys = [key for key, _ in pairs]
+            raise SchemaError(f"{what}: duplicate key {max(keys, key=keys.count)!r}")
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
         # a string holding an unpaired surrogate escape cannot be encoded as text
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:

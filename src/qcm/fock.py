@@ -588,48 +588,3 @@ def joint_targets(record: MembershipRecord) -> tuple[float, float, float, float]
     """The four conjunction weights of the negation quadruple, in pair order."""
     return record.require("muAandB", "muAandBp", "muApandB", "muApandBp")
 
-
-@dataclass(frozen=True)
-class CompatibilityNote:
-    """A published parameter triple that fails to reproduce its own target.
-
-    Kept as diagnostics: these triples are historical reference output,
-    not oracles, because direct evaluation of the closed forms at the
-    quoted parameters misses the quoted combination weights.
-    """
-
-    label: str
-    connective: str
-    mu_a: float
-    mu_b: float
-    params: FockParams
-    predicted: float
-    reported: float
-
-    @property
-    def gap(self) -> float:
-        return self.reported - self.predicted
-
-
-def compatibility_notes() -> tuple[CompatibilityNote, ...]:
-    """Reference triples evaluated verbatim, with their prediction gaps."""
-    notes = []
-    for label, connective, mu_a, mu_b, m2, theta_deg, reported in (
-        ("Mint", "and", 0.87, 0.81, 0.3, 50.21, 0.9),
-        ("Sunglasses", "or", 0.4, 0.2, 0.03, 155.0, 0.1),
-        ("Tall/Not-Tall borderline", "and", 0.01, 0.95, 0.77, 0.0, 0.15),
-    ):
-        params = FockParams.from_degrees(m2=m2, theta_deg=theta_deg, connective=connective)
-        prediction = eval_two_sector(mu_a, mu_b, params)
-        notes.append(
-            CompatibilityNote(
-                label=label,
-                connective=connective,
-                mu_a=mu_a,
-                mu_b=mu_b,
-                params=params,
-                predicted=prediction.value,
-                reported=reported,
-            )
-        )
-    return tuple(notes)

@@ -59,9 +59,8 @@ GOLDEN_PAYLOAD_RUNS = {
 
 
 def child_env() -> dict[str, str]:
-    """This process's environment for a child python, minus QCM_TOLERANCE."""
+    """This process's environment for a child python."""
     env = dict(os.environ)
-    env.pop("QCM_TOLERANCE", None)
     # the child may run in another cwd, where a relative PYTHONPATH=src is lost
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH")))

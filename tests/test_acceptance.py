@@ -38,7 +38,6 @@ from qcm import (
     check_conjunction,
     check_disjunction,
     check_negation,
-    compatibility_notes,
     deviation_profile,
     eval_general_record,
     expectations_from_table,
@@ -52,7 +51,7 @@ from qcm import (
     verify_reference_model,
 )
 
-from test_fock import reference_general_params
+from test_fock import REFERENCE_TRIPLES, reference_general_params
 
 
 @contextlib.contextmanager
@@ -199,15 +198,13 @@ def test_fit_round_trips():
 
 
 def test_documented_parameter_discrepancies():
-    with criterion("non-reproducible reference triples carried as diagnostics"):
-        notes = compatibility_notes()
-        assert len(notes) == 3
-        for note in notes:
-            # each quoted triple misses its own target by a visible margin,
-            # which is exactly what the diagnostics are for
-            assert abs(note.predicted - note.reported) > 5e-3
+    with criterion("published reference triples miss their targets; exact fits exist"):
+        assert len(REFERENCE_TRIPLES) == 3
+        for _, connective, mu_a, mu_b, _, _, reported, predicted in REFERENCE_TRIPLES:
+            # each quoted triple misses its own target by a visible margin
+            assert abs(predicted - reported) > 5e-3
             # while an exact solution for the target does exist
-            refit = fit_two_sector(note.mu_a, note.mu_b, note.reported, note.connective)
+            refit = fit_two_sector(mu_a, mu_b, reported, connective)
             assert refit.feasible and refit.residual <= 1e-9
 
 

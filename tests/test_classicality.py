@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, random_joint_record, sector_one_limit_record
 from qcm import (
     PROFILE_KEYS,
-    REFERENCE_MEAN_BANDS,
     DataValidationError,
     DeviationProfile,
     IncompleteRecordError,
@@ -20,7 +19,6 @@ from qcm import (
     check_conjunction,
     check_disjunction,
     check_negation,
-    check_reference_bands,
     deviation_profile,
     parse_membership_table,
     profile_statistics,
@@ -207,21 +205,39 @@ class TestProfileStatistics:
         assert _t_quantile(0.9, 6) == _t_quantile.__wrapped__(0.9, 6)
 
 
+# 95% confidence bands on the mean of each deviation quantity reported by the
+# reference conjunction-negation experiments: a cross-dataset sanity check,
+# not a fit target
+REFERENCE_MEAN_BANDS = {
+    "iA": (-0.51, -0.33),
+    "iB": (-0.52, -0.34),
+    "iAp": (-0.42, -0.28),
+    "iBp": (-0.40, -0.26),
+    "iTotal": (-0.97, -0.64),
+}
+
+
+def means_within_bands(profiles) -> dict[str, bool]:
+    statistics = profile_statistics(profiles)
+    assert set(statistics) == set(REFERENCE_MEAN_BANDS)
+    return {
+        key: low < statistics[key].mean < high
+        for key, (low, high) in REFERENCE_MEAN_BANDS.items()
+    }
+
+
 class TestReferenceBands:
     def test_bundled_synthetic_set_sits_inside_bands(self):
         records = parse_membership_table(
             DATA_DIR.joinpath("negation_demo.csv").read_text(), format="csv"
         )
-        profiles = [deviation_profile(r) for r in records]
-        checks = check_reference_bands(profile_statistics(profiles))
-        assert set(checks) == set(REFERENCE_MEAN_BANDS)
-        assert all(check.within for check in checks.values())
+        within = means_within_bands([deviation_profile(r) for r in records])
+        assert all(within.values())
 
     def test_classical_means_fall_outside(self):
         rng = random.Random(5)
         profiles = [deviation_profile(random_joint_record(rng, i)) for i in range(5)]
-        checks = check_reference_bands(profile_statistics(profiles))
-        assert not any(check.within for check in checks.values())
+        assert not any(means_within_bands(profiles).values())
 
     def test_band_shape(self):
         for low, high in REFERENCE_MEAN_BANDS.values():

@@ -81,7 +81,6 @@ def test_text_output_matches_golden(golden_name):
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_PAYLOAD_RUNS))
 def test_payload_output_matches_golden(golden_name, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
     assert main(GOLDEN_PAYLOAD_RUNS[golden_name]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -109,7 +108,6 @@ PLOT_GOLDENS = {
 @pytest.mark.parametrize("svg_name", sorted(PLOT_GOLDENS))
 def test_more_plots_match_goldens(svg_name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
     target = tmp_path / "plot.svg"
     assert main([*PLOT_GOLDENS[svg_name], "--plot", str(target)]) == 0
     assert capsys.readouterr().err == ""
@@ -359,43 +357,37 @@ class TestStdinAndFormats:
 
 
 class TestToleranceControls:
-    def test_env_variable_loosens_verdict(self):
+    def test_flag_loosens_verdict(self):
         strict = run_cli(["classicality", "--input", "data/goldfish.csv"])
-        loose = run_cli(
-            ["classicality", "--input", "data/goldfish.csv"],
-            env_extra={"QCM_TOLERANCE": "0.5"},
-        )
+        loose = run_cli(["classicality", "--input", "data/goldfish.csv", "--tolerance", "0.5"])
         assert "conjunction: violated" in strict.stdout
         assert "conjunction: satisfied" in loose.stdout
 
-    def test_flag_beats_environment(self):
-        proc = run_cli(
-            ["classicality", "--input", "data/goldfish.csv", "--tolerance", "1e-9"],
-            env_extra={"QCM_TOLERANCE": "0.5"},
-        )
-        assert "conjunction: violated" in proc.stdout
+    def test_environment_leaves_output_unchanged(self):
+        # the output depends only on argv and the input: QCM_TOLERANCE is not read
+        argv = ["classicality", "--input", "data/goldfish.csv"]
+        plain = run_cli(argv)
+        assert plain.returncode == 0
+        for value in ("0.5", "lots"):
+            proc = run_cli(argv, env_extra={"QCM_TOLERANCE": value})
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
 
-    def test_bad_env_value_is_usage_error(self):
-        proc = run_cli(
-            ["classicality", "--input", "data/goldfish.csv"],
-            env_extra={"QCM_TOLERANCE": "lots"},
-        )
-        assert proc.returncode == 1
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.0", "-5"])
-    def test_non_positive_or_non_finite_tolerance_rejected(
-        self, monkeypatch, capsys, source, value
-    ):
-        argv = ["classicality", "--input", str(DATA_DIR / "goldfish.csv"), "--output", "json"]
+    def test_non_positive_or_non_finite_tolerance_rejected(self, tmp_path, capsys, source, value):
+        goldfish = str(DATA_DIR / "goldfish.csv")
         if source == "flag":
-            argv.append(f"--tolerance={value}")
-        else:
-            monkeypatch.setenv("QCM_TOLERANCE", value)
-        assert main(argv) == 1
+            argv = ["classicality", "--input", goldfish, f"--tolerance={value}"]
+        else:  # a manifest run's key goes through the same flag
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"runs": [
+                {"command": "classicality", "input": goldfish, "tolerance": value},
+            ]}))
+            argv = ["report", "--manifest", str(manifest)]
+        assert main([*argv, "--output", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tolerance" in captured.err.lower()
+        assert "--tolerance must be a finite number > 0" in captured.err
 
 
 class TestReportManifest:
@@ -523,6 +515,70 @@ def test_unknown_key_in_any_document_is_named(tmp_path, capsys, argv, document, 
     assert "'tolerence'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, document, path, key, what",
+    [
+        (["classicality", "--input", "{doc}"], [_RECORD], (0,), "muA", "membership table"),
+        (["chsh", "--input", "{doc}"], "animal_acts_table.json", ("ABp", 2), "p",
+         "coincidence table"),
+        (["stats-fit", "--input", "{doc}"], "uniform11.json", (), "N", "count dataset"),
+        (["chsh", "--input", _TABLE, "--model", "{doc}"], "animal_acts_model.json", (),
+         "state", "hilbert model"),
+        (["report", "--manifest", "{doc}"],
+         {"runs": [{"command": "stats-fit", "input": str(DATA_DIR / "uniform11.json")}]}, (),
+         "runs", "manifest"),
+    ],
+    ids=["membership-record", "coincidence-outcome", "count-dataset", "model", "manifest"],
+)
+def test_repeated_key_in_any_document_is_named(tmp_path, capsys, argv, document, path, key,
+                                               what):
+    # json.loads alone keeps the last of two equal keys; repeating one, even with
+    # the same value, exits 1 and names the key and the document
+    if isinstance(document, str):
+        document = json.loads((DATA_DIR / document).read_text(encoding="utf-8"))
+    target = document
+    for step in path:
+        target = target[step]
+    target["REPEAT"] = None
+    text = json.dumps(document).replace('"REPEAT": null', f'"{key}": {json.dumps(target[key])}')
+    (tmp_path / "doc.json").write_text(text)
+    assert main([arg.replace("{doc}", str(tmp_path / "doc.json")) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{what}: duplicate key '{key}'" in captured.err
+
+
+def _data(name: str):
+    return json.loads((DATA_DIR / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, manifest, message",
+    [
+        (["report", "--manifest", "-"], {"runs": [{"command": "classicality", "input": "-"}]},
+         None, "manifest run 1: input '-' reads stdin again"),
+        (["report", "--manifest", "-"],
+         {"runs": [{"command": "chsh", "input": _TABLE, "model": "-"}]},
+         None, "manifest run 1: model '-' reads stdin again"),
+        (["report", "--manifest", "{doc}"], _data("uniform11.json"),
+         {"runs": [{"command": "stats-fit", "input": "-"},
+                   {"command": "classicality", "input": "-"}]},
+         "manifest run 2: input '-' reads stdin again"),
+        (["chsh", "--input", "-", "--model", "-"], _data("animal_acts_table.json"),
+         None, "--input and --model cannot both read stdin"),
+    ],
+    ids=["manifest-then-input", "manifest-then-model", "two-runs", "chsh-input-and-model"],
+)
+def test_stdin_is_read_once(tmp_path, monkeypatch, capsys, argv, stdin, manifest, message):
+    # stdin holds one document; a second read would find it exhausted, an empty input
+    (tmp_path / "doc.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    assert main([arg.replace("{doc}", str(tmp_path / "doc.json")) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"qcm: error: {message}" in captured.err
+
+
 class TestRequiredSubstrings:
     def test_chsh_value_line(self):
         proc = run_cli(["chsh", "--input", "data/animal_acts_table.json"])
@@ -593,9 +649,7 @@ def fuzz_dir(tmp_path_factory):
     target = tmp_path_factory.mktemp("fuzz")
     for name in _FUZZ_TARGETS:
         shutil.copy(DATA_DIR / name, target / name)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("QCM_TOLERANCE", raising=False)
-        yield target
+    return target
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

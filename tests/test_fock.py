@@ -24,7 +24,6 @@ from qcm import (
     GeneralFockParams,
     MembershipRecord,
     PairParams,
-    compatibility_notes,
     eval_general,
     eval_general_record,
     eval_two_sector,
@@ -420,13 +419,23 @@ class TestGeneralModelFit:
         assert general_fit_interference(result) <= general_fit_grid_oracle(record) + 1e-9
 
 
+# Published two-sector triples that miss their own target weight: (label,
+# connective, muA, muB, m2, theta in degrees, reported weight, the closed form
+# at the quoted parameters).  They are historical reference output, not oracles.
+REFERENCE_TRIPLES = (
+    ("Mint", "and", 0.87, 0.81, 0.3, 50.21, 0.9, 0.8698160422853267),
+    ("Sunglasses", "or", 0.4, 0.2, 0.03, 155.0, 0.1, 0.05794772376235406),
+    ("Tall/Not-Tall borderline", "and", 0.01, 0.95, 0.77, 0.0, 0.15, 0.1401326269930606),
+)
+
+
 class TestCompatibilityNotes:
     def test_reference_triples_and_gaps(self):
-        notes = {note.label: note for note in compatibility_notes()}
-        assert len(notes) == 3
         gaps = {
-            label: abs(note.predicted - note.reported) for label, note in notes.items()
+            label: abs(predicted - reported)
+            for label, *_, reported, predicted in REFERENCE_TRIPLES
         }
+        assert len(gaps) == 3
         assert gaps["Mint"] == pytest.approx(0.030184, abs=1e-6)
         assert gaps["Sunglasses"] == pytest.approx(0.042052, abs=1e-6)
         assert gaps["Tall/Not-Tall borderline"] == pytest.approx(0.009867, abs=1e-6)
@@ -434,13 +443,14 @@ class TestCompatibilityNotes:
     def test_notes_are_self_consistent(self):
         # predicted is literally the closed form evaluated at the quoted
         # parameters, so re-evaluating must agree exactly
-        for note in compatibility_notes():
-            assert eval_two_sector(note.mu_a, note.mu_b, note.params).value == note.predicted
+        for _, connective, mu_a, mu_b, m2, theta_deg, _, predicted in REFERENCE_TRIPLES:
+            params = FockParams.from_degrees(m2=m2, theta_deg=theta_deg, connective=connective)
+            assert eval_two_sector(mu_a, mu_b, params).value == predicted
 
     def test_exact_fit_exists_despite_quoted_gap(self):
         # a feasible (m2, theta) always exists for these targets: the gaps
         # come from the quoted parameters, not from the model family
-        for note in compatibility_notes():
-            result = fit_two_sector(note.mu_a, note.mu_b, note.reported, note.connective)
+        for _, connective, mu_a, mu_b, _, _, reported, _ in REFERENCE_TRIPLES:
+            result = fit_two_sector(mu_a, mu_b, reported, connective)
             assert result.feasible
             assert result.residual <= 1e-9

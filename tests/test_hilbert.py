@@ -17,6 +17,7 @@ from conftest import (
     nearest_product_oracle,
 )
 from qcm import (
+    BLOCKS,
     NONLOCAL_NON_MARGINAL_BOX_1,
     TSIRELSON_BOUND,
     ChshReport,
@@ -32,12 +33,17 @@ from qcm import (
     state_schmidt,
     verify_reference_model,
 )
-from qcm.hilbert import _eigvalsh, realign
+from qcm.hilbert import _eigvalsh, _parse_complex, realign
 
 SIGMA_Z = np.diag([1.0, -1.0])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 BELL = ComplexVector4((2**-0.5, 0.0, 0.0, 2**-0.5))
+
+
+def model_doc(state) -> dict:
+    """A model file's document: ``state`` as given, Z (x) Z for every block."""
+    return {"state": state, "operators": {key: ZZ.tolist() for key in BLOCKS}}
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +73,6 @@ class TestComplexVector4:
 
     def test_non_state_vectors_skip_the_norm_check(self):
         ComplexVector4((3.0, 4.0, 0.0, 0.0), is_state=False)
-
-    def test_from_polar_degrees(self):
-        state = ComplexVector4.from_polar_degrees(
-            [(1.0, 90.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
-        )
-        assert state.amplitudes[0] == pytest.approx(1j, abs=1e-12)
-        assert all(type(a) is complex for a in state.amplitudes)
 
 
 class TestObservable4:
@@ -340,15 +339,15 @@ class TestParseModel:
         assert math.degrees(math.atan2(amp.imag, amp.real)) == pytest.approx(13.93)
 
     def test_rectangular_and_plain_number_forms(self):
-        doc = {
-            "state": [1.0, 0, {"re": 0.0, "im": 0.0}, {"mod": 0.0, "argDeg": 0.0}],
-            "operators": {
-                key: [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
-                for key in ("AB", "ABp", "ApB", "ApBp")
-            },
-        }
+        doc = model_doc([1.0, 0, {"re": 0.0, "im": 0.0}, {"mod": 0.0, "argDeg": 0.0}])
         model = parse_model(json.dumps(doc))
         assert model.state == (1 + 0j, 0j, 0j, 0j)
+
+    def test_polar_degrees_value(self):
+        doc = model_doc([{"mod": 1.0, "argDeg": 90.0}, 0.0, 0.0, 0.0])
+        state = parse_model(json.dumps(doc)).state
+        assert state[0] == pytest.approx(1j, abs=1e-12)
+        assert all(type(a) is complex for a in state)
 
     def test_missing_operator_block(self, animal_model):
         doc = json.loads(DATA_DIR.joinpath("animal_acts_model.json").read_text())
@@ -363,9 +362,22 @@ class TestParseModel:
             parse_model(json.dumps(doc))
 
     def test_wrong_operator_shape(self):
+        # parse_model checks only the JSON types it walks; HilbertModel checks the shape
         doc = json.loads(DATA_DIR.joinpath("animal_acts_model.json").read_text())
         doc["operators"]["AB"] = [[0, 1], [1, 0]]
-        with pytest.raises(SchemaError, match="4 rows"):
+        with pytest.raises(DataValidationError, match=r"operator AB must be 4x4, got rows of "
+                           r"lengths \[2, 2\]"):
+            parse_model(json.dumps(doc))
+        doc["operators"]["AB"] = [0, 1, 1, 0]
+        with pytest.raises(SchemaError, match="operator AB: expected an array of arrays"):
+            parse_model(json.dumps(doc))
+
+    def test_wrong_state_shape(self):
+        doc = model_doc([1.0, 0.0, 0.0])
+        with pytest.raises(DataValidationError, match="state needs 4 amplitudes, got 3"):
+            parse_model(json.dumps(doc))
+        doc["state"] = {"re": 1.0, "im": 0.0}
+        with pytest.raises(SchemaError, match="hilbert model: state must be an array"):
             parse_model(json.dumps(doc))
 
 
@@ -446,7 +458,7 @@ class TestVerifyReferenceModel:
 
 
 class TestNumberPolicy:
-    """Models built in code follow the parsers' policy: strings and bools are not numbers."""
+    """Models built in code follow the parser's policy: strings and bools are not numbers."""
 
     @pytest.mark.parametrize("bad", ["1", b"1", True])
     def test_state_entries(self, bad):
@@ -455,10 +467,11 @@ class TestNumberPolicy:
 
     @pytest.mark.parametrize("bad", ["1", b"1", True])
     def test_polar_entries(self, bad):
-        with pytest.raises(DataValidationError, match=r"modulus\[0\]=.* is not a number"):
-            ComplexVector4.from_polar_degrees([(bad, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
-        with pytest.raises(DataValidationError, match=r"phase\[1\]=.* is not a number"):
-            ComplexVector4.from_polar_degrees([(1.0, 0.0), (0.0, bad), (0.0, 0.0), (0.0, 0.0)])
+        # parse_model's {mod, argDeg} conversion, the one polar form
+        with pytest.raises(DataValidationError, match=r"state\[0\]=.* is not a number"):
+            _parse_complex({"mod": bad, "argDeg": 0.0}, "state[0]")
+        with pytest.raises(DataValidationError, match=r"state\[1\]=.* is not a number"):
+            _parse_complex({"mod": 0.0, "argDeg": bad}, "state[1]")
 
     @pytest.mark.parametrize("bad", ["1", b"1", True])
     def test_model_entries(self, bad, animal_model):

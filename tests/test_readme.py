@@ -36,7 +36,6 @@ def test_readme_has_cli_examples():
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_cli_example_exits_zero(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.delenv("QCM_TOLERANCE", raising=False)
     argv = shlex.split(line)[1:]
     if "--plot" in argv:
         at = argv.index("--plot") + 1

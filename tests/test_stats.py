@@ -399,3 +399,19 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names | {"qcm"}, f"{path.name}: {module}"
+
+
+def test_package_reads_no_environment_variable():
+    # the output depends only on argv and the input
+    for path in sorted((REPO_ROOT / "src" / "qcm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name not in {"environ", "environb", "getenv", "getenvb"}, (
+                    f"{path.name}:{node.lineno}: os.{name}"
+                )
