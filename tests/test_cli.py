@@ -363,6 +363,13 @@ class TestToleranceControls:
         assert "conjunction: violated" in strict.stdout
         assert "conjunction: satisfied" in loose.stdout
 
+    def test_flag_beats_environment(self):
+        proc = run_cli(
+            ["classicality", "--input", "data/goldfish.csv", "--tolerance", "1e-9"],
+            env_extra={"QCM_TOLERANCE": "0.5"},
+        )
+        assert "conjunction: violated" in proc.stdout
+
     def test_environment_leaves_output_unchanged(self):
         # the output depends only on argv and the input: QCM_TOLERANCE is not read
         argv = ["classicality", "--input", "data/goldfish.csv"]
