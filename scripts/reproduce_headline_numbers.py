@@ -41,9 +41,7 @@ def main() -> None:
     print(f"all checks passed: {verification.all_passed}")
     print(f"classification: {verification.classification}")
 
-    records = qcm.parse_membership_table(
-        DATA.joinpath("goldfish.csv").read_text(), format="csv"
-    )
+    records = qcm.parse_membership_table(DATA.joinpath("goldfish.csv").read_text())
     goldfish = records[0]
     profile = qcm.deviation_profile(goldfish)
     print()
@@ -67,14 +65,10 @@ def main() -> None:
 
     print()
     print("== distribution statistics ==")
-    mb_params = qcm.DistParams(family="MB", p1=0.5, n_total=11)
+    mb = qcm.pmf_vector(qcm.DistParams(family="MB", p1=0.5, n_total=11))
     print(
         "MB(N=11, p1=0.5): pmf(11) = %.6f, pmf(10) = %.6f, pmf(6) = %.6f"
-        % (
-            qcm.mb_pmf(mb_params, 11),
-            qcm.mb_pmf(mb_params, 10),
-            qcm.mb_pmf(mb_params, 6),
-        )
+        % (mb[11], mb[10], mb[6])
     )
     be_params = qcm.DistParams(family="BE", p1=0.5, n_total=11)
     values = qcm.pmf_vector(be_params)

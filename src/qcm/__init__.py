@@ -8,10 +8,13 @@ BIC model selection.
 
 ``import qcm`` runs none of them: each public name is imported from its
 submodule on first use (PEP 562), so a caller pays only for the layers it
-touches.
+touches.  A submodule looked up on the package, as ``from . import stats``
+does, is a lazily loaded module that executes on its first attribute
+access.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -87,13 +90,12 @@ _EXPORTS = {
         "DistFit",
         "BicComparison",
         "RegressionResult",
-        "mb_pmf",
-        "be_pmf",
         "pmf_vector",
         "fit_distribution",
         "compare_bic",
         "linear_regression",
     ),
+    "svg": (),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -102,10 +104,18 @@ __all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name: str):
-    module = _OWNER.get(name)
-    if module is None:
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    elif name in _EXPORTS:  # a submodule: entered like an import, executed on first use
+        fullname = f"{__name__}.{name}"
+        value = sys.modules.get(fullname)
+        if value is None:
+            spec = importlib.util.find_spec(fullname)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            value = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(value)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -13,8 +13,10 @@ decimals (round half to even) so reports are byte-stable; JSON keeps full
 precision and never holds NaN or infinities.
 
 A command executes only the analysis modules it calls: ``cls``, ``fock``,
-``hilbert``, ``stats`` and ``svg`` are bound here as lazily executed
-modules, and charts are built only for ``--plot``.
+``hilbert``, ``stats`` and ``svg`` are bound here as the lazy modules
+``qcm.__getattr__`` makes, executed on first attribute access, and charts
+are built only for ``--plot``.  A membership table's format, CSV or JSON, is
+read from its content, not from a flag or the file name.
 
 Exit codes: 0 success, 1 bad data or usage (a ``QcmError``), 2 I/O error;
 any other exception is a bug and keeps its traceback.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import importlib.util
 import json
 import math
 import os
@@ -38,36 +39,13 @@ from .data import (
     FIT_POLICIES,
     _load_json,
     _object,
+    _sum,
     parse_coincidence,
     parse_count_datasets,
     parse_membership_table,
 )
 from .errors import DataValidationError, QcmError, SchemaError
-
-
-def _lazy_submodule(name: str):
-    """``qcm.<name>``, executed on its first attribute access.
-
-    Like an import, it is entered in ``sys.modules`` and bound on the
-    package, so ``import qcm.<name>`` and ``qcm.<name>`` find this module.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-cls = _lazy_submodule("classicality")
-fock = _lazy_submodule("fock")
-hilbert = _lazy_submodule("hilbert")
-stats = _lazy_submodule("stats")
-svg = _lazy_submodule("svg")
+from . import classicality as cls, fock, hilbert, stats, svg
 
 _PROG = "qcm"
 
@@ -117,13 +95,6 @@ def _read_input(path: str) -> str:
         raise DataValidationError(f"input path {path!r}: {exc}") from None
 
 
-def _read_membership(args) -> list:
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.input != "-" and args.input.lower().endswith(".json") else "csv"
-    return parse_membership_table(_read_input(args.input), format=fmt)
-
-
 def _fields(obj) -> dict:
     """A dataclass's fields, in order, under camelCase keys (m2_min -> m2Min)."""
     return {
@@ -158,7 +129,7 @@ def _cmd_classicality(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     if not 0.0 < args.confidence < 1.0:  # also false for NaN
         raise DataValidationError(f"--confidence must be in (0, 1), got {args.confidence!r}")
     tolerance = _resolve_tolerance(args.tolerance, cls.DEFAULT_TOLERANCE)
-    records = _read_membership(args)
+    records = parse_membership_table(_read_input(args.input))
     name = _input_name(args.input)
 
     entries = []
@@ -247,7 +218,7 @@ def _render_classicality(payload: dict) -> list[str]:
     lines.append("")
     statistics = payload["profileStatistics"]
     if statistics is None:
-        have = sum(entry["deviationProfile"] is not None for entry in entries)
+        have = _sum(entry["deviationProfile"] is not None for entry in entries)
         lines.append(
             "profile statistics: not computed "
             f"(needs at least 3 complete records, have {have})"
@@ -271,7 +242,7 @@ def _render_classicality(payload: dict) -> list[str]:
 
 def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     tolerance = _resolve_tolerance(args.tolerance, fock.FIT_TOLERANCE)
-    records = _read_membership(args)
+    records = parse_membership_table(_read_input(args.input))
     name = _input_name(args.input)
 
     fits = []
@@ -445,7 +416,7 @@ def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
         "tsirelsonBoundRespected": report.tsirelson_respected,
         "marginalTolerance": tolerance,
         "marginalComparisons": [_fields(c) for c in comparisons],
-        "marginalViolations": sum(c.violated for c in comparisons),
+        "marginalViolations": _sum(c.violated for c in comparisons),
         "model": None,
     }
 
@@ -672,13 +643,11 @@ def _build_parser() -> _Parser:
         "classicality", help="representability checks for a membership table"
     )
     p.add_argument("--input", required=True, help="membership table path or -")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--confidence", type=float, default=0.95)
     common(p)
 
     p = sub.add_parser("fock-fit", help="two-sector or general interference fits")
     p.add_argument("--input", required=True, help="membership table path or -")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--mode", choices=("two-sector", "general"), default="two-sector")
     p.add_argument("--policy", choices=FIT_POLICIES, default="min-interference")
     common(p)

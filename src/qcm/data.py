@@ -21,7 +21,8 @@ CSV schema (header mandatory, UTF-8): the only accepted column names are
 
 ``exemplar``, ``muA`` and ``muB`` are required; an empty cell means the
 value is absent.  JSON membership files are arrays of objects using the
-same key names.
+same key names.  The parser tells the two apart by the first non-blank
+character: ``[`` or ``{`` is JSON, anything else CSV.
 """
 
 from __future__ import annotations
@@ -31,24 +32,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from .errors import DataValidationError, IncompleteRecordError, SchemaError
-
-MEMBERSHIP_COLUMNS = (
-    "exemplar",
-    "conceptA",
-    "conceptB",
-    "muA",
-    "muB",
-    "muAp",
-    "muBp",
-    "muAandB",
-    "muAandBp",
-    "muApandB",
-    "muApandBp",
-    "muAorB",
-)
 
 _TEXT_COLUMNS = ("exemplar", "conceptA", "conceptB")
 
@@ -67,6 +52,8 @@ _COLUMN_TO_ATTR = {
     "muAorB": "mu_a_or_b",
 }
 
+MEMBERSHIP_COLUMNS = tuple(_COLUMN_TO_ATTR)
+
 # combination weights: a record must carry at least one of these
 _COMBINATION_COLUMNS = ("muAandB", "muAandBp", "muApandB", "muApandBp", "muAorB")
 
@@ -77,7 +64,14 @@ BLOCK_SUM_TOLERANCE = 1e-3  # published tables are 3-decimal rounded
 # fock.fit_two_sector's policies; here so the CLI can list them without loading fock
 FIT_POLICIES = ("min-interference", "min-m2")
 
-Format = Literal["csv", "json"]
+
+def _sum(values):
+    """Left to right, as the built-in ``sum`` added floats until Python 3.12 made
+    it compensated; every sum in qcm comes here, so output is the same on every Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _load_json(text: str, what: str):
@@ -211,20 +205,22 @@ def _record_from_fields(fields: dict, context: str) -> MembershipRecord:
         raise DataValidationError(f"{context}: {exc}") from None
 
 
-def parse_membership_table(text: str, format: Format = "csv") -> list[MembershipRecord]:
-    """Parse a membership table; empty input parses to an empty list."""
-    if text.strip() == "":
+def parse_membership_table(text: str) -> list[MembershipRecord]:
+    """Parse a membership table: JSON when its first non-blank character is
+    ``[`` or ``{``, which no CSV header of column names starts with, else CSV.
+    Empty input parses to an empty list."""
+    head = text.lstrip()[:1]
+    if head == "":
         return []
-    if format == "csv":
-        return _membership_from_csv(text)
-    if format == "json":
-        return _membership_from_json(text)
-    raise DataValidationError(f"unknown format {format!r} (expected 'csv' or 'json')")
+    return _membership_from_json(text) if head in "[{" else _membership_from_csv(text)
 
 
 def _membership_from_csv(text: str) -> list[MembershipRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [row for row in rows if row]  # csv yields [] for blank lines
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]  # csv yields [] for blank lines
+    except csv.Error as exc:  # a field over csv's size limit; a NUL before Python 3.11
+        raise DataValidationError(f"line {reader.line_num}: {exc}") from None
     header = [cell.strip() for cell in rows[0]]
     seen = set()
     for name in header:
@@ -323,7 +319,7 @@ class CoincidenceTable:
                 raise DataValidationError(
                     f"block {key}: needs exactly two +1 and two -1 outcomes"
                 )
-            total = sum(o.p for o in outcomes)
+            total = _sum(o.p for o in outcomes)
             # inclusive bound with an epsilon pad: 3-decimal tables can sum
             # to 0.999 exactly, which float addition may overshoot by 1 ulp
             if abs(total - 1.0) > BLOCK_SUM_TOLERANCE + 1e-12:
@@ -413,7 +409,7 @@ class CountDataset:
                 raise DataValidationError(
                     f"dataset {self.category!r}: observed[{n}]={value!r} negative or not finite"
                 )
-        total = sum(observed)
+        total = _sum(observed)
         if abs(total - 1.0) > self.SUM_TOLERANCE:
             raise DataValidationError(
                 f"dataset {self.category!r}: frequencies sum to {total!r}, not 1 "

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, _check_unit_interval
+from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, _check_unit_interval, _sum
 from .errors import DataValidationError
 
 FIT_TOLERANCE = 1e-9
@@ -518,7 +518,7 @@ def fit_general_quadruple(
     # classical shortcut: the conjunction weights themselves as sector-2 atoms
     atoms = tuple(targets[k] for k in BLOCKS)
     if (
-        abs(sum(atoms) - 1.0) <= 1e-9
+        abs(_sum(atoms) - 1.0) <= 1e-9
         and abs(atoms[0] + atoms[1] - mu_a) <= delta + _EPS
         and abs(atoms[0] + atoms[2] - mu_b) <= delta + _EPS
     ):
@@ -550,11 +550,11 @@ def fit_general_quadruple(
     movable = [k for k in BLOCKS if weights[k] > _EPS]
     subsets = sorted(
         (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
-        key=lambda subset: -sum(weights[k] for k in subset),
+        key=lambda subset: -_sum(weights[k] for k in subset),
     )
     level, points = None, []  # the heaviest feasible weight level and its points
     for subset in subsets:
-        weight = sum(weights[k] for k in subset)
+        weight = _sum(weights[k] for k in subset)
         if level is not None and weight < level - _EPS:
             break
         point = _least_slack_point(

@@ -31,7 +31,9 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .data import BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _object, _to_float
+from .data import (
+    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _object, _sum, _to_float,
+)
 from .errors import DataValidationError, SchemaError
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -85,7 +87,7 @@ def _hermitian_part(m: Matrix4) -> Matrix4:
 
 def _braket(v: Sequence[complex], m: Matrix4) -> complex:
     """<v|M|v>."""
-    return sum(v[i].conjugate() * m[i][j] * v[j] for i in range(4) for j in range(4))
+    return _sum(v[i].conjugate() * m[i][j] * v[j] for i in range(4) for j in range(4))
 
 
 def _eigvalsh(h: Sequence[Sequence[complex]]) -> list[float]:
@@ -179,7 +181,7 @@ class Observable4:
         matrix = _matrix4(self.matrix)
         object.__setattr__(self, "matrix", matrix)
         _check_hermitian(matrix)
-        trace = sum(matrix[i][i] for i in range(4))
+        trace = _sum(matrix[i][i] for i in range(4))
         if not abs(trace) <= TRACE_TOLERANCE:
             raise DataValidationError(
                 f"trace {trace:.6g} not within {TRACE_TOLERANCE} of 0"
@@ -250,7 +252,7 @@ class ChshReport:
 def expectations_from_table(table: CoincidenceTable) -> ChshReport:
     """Per-block expectations and the CHSH combination."""
     e = {
-        key: sum(outcome.sign * outcome.p for outcome in table.block(key))
+        key: _sum(outcome.sign * outcome.p for outcome in table.block(key))
         for key in BLOCKS
     }
     chsh = e["ApBp"] + e["ApB"] + e["ABp"] - e["AB"]
@@ -324,7 +326,7 @@ def _side_labels(table: CoincidenceTable, block: str, side: str) -> list[str]:
 
 
 def _marginal_sum(table: CoincidenceTable, block: str, side: str, label: str) -> float:
-    return sum(o.p for o in table.block(block) if getattr(o, side) == label)
+    return _sum(o.p for o in table.block(block) if getattr(o, side) == label)
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ def state_schmidt(state: ComplexVector4) -> SchmidtReport:
     singular = _singular_values(((a[0], a[1]), (a[2], a[3])))
     return SchmidtReport(
         singular_values=(singular[0], singular[1]),
-        rank=sum(s > STATE_RANK_TOLERANCE for s in singular),
+        rank=_sum(s > STATE_RANK_TOLERANCE for s in singular),
     )
 
 
@@ -380,8 +382,8 @@ def operator_product_test(obs: Observable4 | Matrix4) -> OperatorSchmidt:
     threshold = OPERATOR_RANK_TOLERANCE * singular[0] if singular[0] > 0.0 else 0.0
     return OperatorSchmidt(
         coefficients=tuple(singular),
-        product=sum(s > threshold for s in singular) <= 1,
-        nearest_product_error=math.sqrt(sum(s * s for s in singular[1:])),
+        product=_sum(s > threshold for s in singular) <= 1,
+        nearest_product_error=math.sqrt(_sum(s * s for s in singular[1:])),
     )
 
 
@@ -558,7 +560,7 @@ def verify_reference_model(
             box_condition,
             f"CHSH = {report.chsh:.4f}, classical violated = {report.classical_violated}, "
             f"tsirelson respected = {report.tsirelson_respected}, "
-            f"marginal violations = {sum(m.violated for m in marginals)}/{len(marginals)}",
+            f"marginal violations = {_sum(m.violated for m in marginals)}/{len(marginals)}",
         )
     )
 

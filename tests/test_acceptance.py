@@ -34,7 +34,6 @@ from qcm import (
     TSIRELSON_BOUND,
     CountDataset,
     DistParams,
-    be_pmf,
     check_conjunction,
     check_disjunction,
     check_negation,
@@ -46,7 +45,6 @@ from qcm import (
     fit_two_sector,
     joint_targets,
     marginal_law_check,
-    mb_pmf,
     pmf_vector,
     verify_reference_model,
 )
@@ -105,13 +103,13 @@ def test_reference_model_verification(animal_model, animal_table):
 
 def test_count_distribution_closed_forms():
     with criterion("binomial reference values and exact uniform split"):
-        mb = DistParams(family="MB", p1=0.5, n_total=11)
-        assert mb_pmf(mb, 11) == pytest.approx(0.0005, abs=5e-4)
-        assert mb_pmf(mb, 10) == pytest.approx(0.0054, abs=5e-4)
-        assert mb_pmf(mb, 6) == pytest.approx(0.2256, abs=5e-4)
-        be = DistParams(family="BE", p1=0.5, n_total=11)
+        mb = pmf_vector(DistParams(family="MB", p1=0.5, n_total=11))
+        assert mb[11] == pytest.approx(0.0005, abs=5e-4)
+        assert mb[10] == pytest.approx(0.0054, abs=5e-4)
+        assert mb[6] == pytest.approx(0.2256, abs=5e-4)
+        be = pmf_vector(DistParams(family="BE", p1=0.5, n_total=11))
         for n in range(12):
-            assert be_pmf(be, n) == 1.0 / 12.0
+            assert be[n] == 1.0 / 12.0
 
 
 def test_general_model_on_reference_quadruple(goldfish_record):

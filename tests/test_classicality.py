@@ -228,9 +228,7 @@ def means_within_bands(profiles) -> dict[str, bool]:
 
 class TestReferenceBands:
     def test_bundled_synthetic_set_sits_inside_bands(self):
-        records = parse_membership_table(
-            DATA_DIR.joinpath("negation_demo.csv").read_text(), format="csv"
-        )
+        records = parse_membership_table(DATA_DIR.joinpath("negation_demo.csv").read_text())
         within = means_within_bands([deviation_profile(r) for r in records])
         assert all(within.values())
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
+    GOLDEN_DIR,
     GOLDEN_PAYLOAD_RUNS,
     GOLDEN_PLOT,
     GOLDEN_RUNS,
@@ -114,6 +117,15 @@ def test_more_plots_match_goldens(svg_name, tmp_path, monkeypatch, capsys):
     assert_matches_golden(svg_name, target.read_text(encoding="utf-8"))
 
 
+def test_check_goldens_script_covers_every_golden_file():
+    # the script other interpreters are checked with; here it runs on this one
+    script = REPO_ROOT / "scripts" / "check_goldens.py"
+    done = subprocess.run([sys.executable, str(script), sys.executable], capture_output=True,
+                          text=True)
+    count = len(list(GOLDEN_DIR.iterdir()))
+    assert (done.returncode, done.stdout) == (0, f"{sys.executable}: identical {count}/{count}\n")
+
+
 def test_plot_output_is_deterministic(tmp_path):
     first = tmp_path / "one.svg"
     second = tmp_path / "two.svg"
@@ -197,11 +209,12 @@ class TestExitCodes:
             ("report", '{"runs": [{"command": ["chsh"], "input": "x"}]}'),
             ("report", '{"runs": [{"command": "chsh", "input": "x\\u0000"}]}'),
             ("report", '{"runs": [{"command": "chsh", "input": "x", "name": NaN}]}'),
+            ("classicality", "exemplar,muA,muB,muAorB\n" + "x" * 131_073 + ",0.1,0.2,0.3\n"),
         ],
         ids=[
             "observed-not-array", "observed-null", "observed-string", "observed-huge-int",
             "weight-huge-int", "lone-surrogate", "deep-nesting", "command-array", "path-nul",
-            "name-not-string",
+            "name-not-string", "csv-field-over-limit",
         ],
     )
     def test_malformed_values_are_data_errors(self, tmp_path, capsys, command, text):
@@ -338,13 +351,10 @@ class TestStdinAndFormats:
         assert proc.returncode == 0
         assert proc.stdout.startswith("classicality report: stdin")
 
-    def test_format_flag_overrides_extension(self, tmp_path):
-        records = json.loads(
-            '[{"exemplar": "x", "muA": 0.87, "muB": 0.81, "muAandB": 0.9}]'
-        )
+    def test_json_content_in_txt_file_parses_as_json(self, tmp_path):
         path = tmp_path / "table.txt"
-        path.write_text(json.dumps(records))
-        proc = run_cli(["classicality", "--input", str(path), "--format", "json"])
+        path.write_text('[{"exemplar": "x", "muA": 0.87, "muB": 0.81, "muAandB": 0.9}]')
+        proc = run_cli(["classicality", "--input", str(path)])
         assert proc.returncode == 0
         assert "conjunction: violated" in proc.stdout
 
@@ -354,6 +364,28 @@ class TestStdinAndFormats:
         proc = run_cli(["classicality", "--input", str(path)])
         assert proc.returncode == 0
         assert "disjunction: satisfied" in proc.stdout
+
+    def test_json_on_stdin_needs_no_flag(self):
+        text = '\n  [{"exemplar": "x", "muA": 0.5, "muB": 0.5, "muAorB": 0.6}]'
+        proc = run_cli(["classicality", "--input", "-"], stdin_text=text)
+        assert proc.returncode == 0, proc.stderr
+        assert "disjunction: satisfied" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["classicality", "fock-fit"])
+    def test_format_flag_is_gone(self, capsys, command):
+        argv = [command, "--input", str(DATA_DIR / "goldfish.csv"), "--format", "json"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    def test_format_run_key_is_gone(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "classicality", "input": str(DATA_DIR / "goldfish.csv"), "format": "csv"},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 1
+        assert "manifest run 1: classicality has no flag for keys ['format']" in (
+            capsys.readouterr().err
+        )
 
 
 class TestToleranceControls:
@@ -619,7 +651,7 @@ _FUZZ_TARGETS = {
     ],
     "hampton.csv": [["fock-fit", "--input", "{}"], ["classicality", "--input", "{}"]],
     "negation_demo.csv": [
-        ["classicality", "--input", "{}", "--format", "json"],
+        ["classicality", "--input", "{}"],
         ["fock-fit", "--input", "{}", "--mode", "general"],
     ],
     "animal_acts_table.json": [["chsh", "--input", "{}"], ["stats-fit", "--input", "{}"]],

@@ -53,7 +53,7 @@ class TestMembershipRecord:
     def test_json_text_field_error_names_record(self):
         doc = json.dumps([{"exemplar": "x", "conceptA": 5, "muA": 0.1, "muB": 0.2, "muAorB": 0.3}])
         with pytest.raises(DataValidationError, match="record 0: conceptA must be a string"):
-            parse_membership_table(doc, format="json")
+            parse_membership_table(doc)
 
     def test_needs_at_least_one_combination_weight(self):
         with pytest.raises(DataValidationError, match="no combination weight"):
@@ -81,9 +81,7 @@ class TestMembershipRecord:
 
 class TestMembershipParsing:
     def test_bundled_goldfish(self):
-        records = parse_membership_table(
-            DATA_DIR.joinpath("goldfish.csv").read_text(), format="csv"
-        )
+        records = parse_membership_table(DATA_DIR.joinpath("goldfish.csv").read_text())
         assert len(records) == 1
         record = records[0]
         assert record.exemplar == "Goldfish"
@@ -92,8 +90,8 @@ class TestMembershipParsing:
         assert record.mu_a_or_b is None
 
     def test_empty_input_is_empty_table(self):
-        assert parse_membership_table("", format="csv") == []
-        assert parse_membership_table("  \n ", format="csv") == []
+        assert parse_membership_table("") == []
+        assert parse_membership_table("  \n ") == []
 
     def test_unknown_header_column(self):
         with pytest.raises(SchemaError, match="muZ"):
@@ -120,18 +118,29 @@ class TestMembershipParsing:
     def test_json_unknown_key(self):
         doc = json.dumps([{"exemplar": "x", "muA": 0.1, "muB": 0.2, "bogus": 1}])
         with pytest.raises(SchemaError, match="bogus"):
-            parse_membership_table(doc, format="json")
+            parse_membership_table(doc)
 
     def test_json_parses_null_as_absent(self):
         doc = json.dumps(
             [{"exemplar": "x", "muA": 0.1, "muB": 0.2, "muAorB": 0.3, "muAandB": None}]
         )
-        record = parse_membership_table(doc, format="json")[0]
+        record = parse_membership_table(doc)[0]
         assert record.mu_a_and_b is None
 
-    def test_unknown_format_is_data_error(self):
-        with pytest.raises(DataValidationError, match="xml"):
-            parse_membership_table("exemplar,muA,muB,muAorB\nx,0.1,0.2,0.3\n", format="xml")
+    @pytest.mark.parametrize("lead", ["", " \n\t"])
+    def test_format_read_from_first_non_blank_character(self, lead):
+        doc = '[{"exemplar": "x", "muA": 0.1, "muB": 0.2, "muAorB": 0.3}]'
+        assert parse_membership_table(lead + doc)[0].mu_a_or_b == 0.3
+        with pytest.raises(SchemaError, match="expected a JSON array of objects"):
+            parse_membership_table(lead + '{"exemplar": "x"}')
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_membership_table(lead + "[exemplar,muA,muB,muAorB]\n")
+
+    def test_oversized_csv_field_names_line(self):
+        # csv's field size limit is 131,072 characters; its csv.Error must not escape
+        text = "exemplar,muA,muB,muAorB\nx,0.1,0.2,0.3\n" + "y" * 131_073 + ",0.1,0.2,0.3\n"
+        with pytest.raises(DataValidationError, match=r"line 3: field larger than field limit"):
+            parse_membership_table(text)
 
 
 class TestCoincidenceTable:
@@ -284,5 +293,5 @@ def test_membership_round_trip_property(weights, or_present):
     )
     fields = {c: record.value(c) for c in MEMBERSHIP_COLUMNS if record.value(c) is not None}
     csv_text = ",".join(fields) + "\n" + ",".join(map(str, fields.values())) + "\n"
-    assert parse_membership_table(csv_text, format="csv") == [record]
-    assert parse_membership_table(json.dumps([fields]), format="json") == [record]
+    assert parse_membership_table(csv_text) == [record]
+    assert parse_membership_table(json.dumps([fields])) == [record]

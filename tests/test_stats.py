@@ -20,14 +20,13 @@ from qcm import (
     DistFit,
     DistParams,
     InsufficientDataError,
-    be_pmf,
     compare_bic,
     fit_distribution,
     linear_regression,
-    mb_pmf,
     parse_count_datasets,
     pmf_vector,
 )
+from qcm.data import _sum
 from qcm.stats import _t_quantile, golden_section_minimize
 
 
@@ -52,47 +51,35 @@ class TestDistParams:
 class TestBinomialPmf:
     def test_symmetric_half_values_are_exact_dyadics(self):
         # C(11,n)/2048 is exactly representable, so equality is exact
-        params = DistParams(family="MB", p1=0.5, n_total=11)
-        assert mb_pmf(params, 0) == 0.00048828125
-        assert mb_pmf(params, 1) == 0.00537109375
-        assert mb_pmf(params, 5) == 0.2255859375
+        vector = pmf_vector(DistParams(family="MB", p1=0.5, n_total=11))
+        assert vector[0] == 0.00048828125
+        assert vector[1] == 0.00537109375
+        assert vector[5] == 0.2255859375
 
     def test_matches_fraction_arithmetic(self):
-        params = DistParams(family="MB", p1=0.25, n_total=9)
+        vector = pmf_vector(DistParams(family="MB", p1=0.25, n_total=9))
         for n in range(10):
             exact = math.comb(9, n) * Fraction(1, 4) ** n * Fraction(3, 4) ** (9 - n)
-            assert mb_pmf(params, n) == pytest.approx(float(exact), rel=1e-14)
+            assert vector[n] == pytest.approx(float(exact), rel=1e-14)
 
     def test_degenerate_endpoints(self):
-        params = DistParams(family="MB", p1=1.0, n_total=5)
-        assert mb_pmf(params, 5) == 1.0
-        assert mb_pmf(params, 0) == 0.0
-
-    def test_family_guard(self):
-        with pytest.raises(ValueError, match="MB"):
-            mb_pmf(DistParams(family="BE", p1=0.5, n_total=9), 1)
-
-    def test_occupation_range(self):
-        with pytest.raises(ValueError, match="range"):
-            mb_pmf(DistParams(family="MB", p1=0.5, n_total=9), 10)
+        vector = pmf_vector(DistParams(family="MB", p1=1.0, n_total=5))
+        assert vector[5] == 1.0
+        assert vector[0] == 0.0
 
 
 class TestOccupationSplitPmf:
     def test_balanced_split_is_uniform_exactly(self):
         # (n + (11-n)) * 0.5 / 66 == 1/12 in floating point for every n
-        params = DistParams(family="BE", p1=0.5, n_total=11)
+        vector = pmf_vector(DistParams(family="BE", p1=0.5, n_total=11))
         for n in range(12):
-            assert be_pmf(params, n) == 1.0 / 12.0
+            assert vector[n] == 1.0 / 12.0
 
     def test_fully_tilted_split_is_linear(self):
-        params = DistParams(family="BE", p1=1.0, n_total=11)
-        assert be_pmf(params, 0) == 0.0
-        assert be_pmf(params, 11) == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert be_pmf(params, 6) == pytest.approx(6.0 / 66.0, abs=1e-15)
-
-    def test_family_guard(self):
-        with pytest.raises(ValueError, match="BE"):
-            be_pmf(DistParams(family="MB", p1=0.5, n_total=9), 1)
+        vector = pmf_vector(DistParams(family="BE", p1=1.0, n_total=11))
+        assert vector[0] == 0.0
+        assert vector[11] == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert vector[6] == pytest.approx(6.0 / 66.0, abs=1e-15)
 
 
 class TestPmfVector:
@@ -344,7 +331,8 @@ def test_fit_rss_is_bit_identical_to_pmf_vector(family, weights):
     observed = tuple(w / total for w in weights)
     dataset = CountDataset(category="drawn", n_total=len(observed) - 1, observed=observed)
     fit = fit_distribution(dataset, family)
-    assert fit.rss == sum((p - o) ** 2 for p, o in zip(pmf_vector(fit.params), dataset.observed))
+    pmf = pmf_vector(fit.params)
+    assert fit.rss == _sum((p - o) ** 2 for p, o in zip(pmf, dataset.observed))
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,6 +387,15 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names | {"qcm"}, f"{path.name}: {module}"
+
+
+def test_package_sums_only_through_one_helper():
+    # Python 3.12 made the built-in sum of floats compensated; qcm's output must
+    # not depend on the interpreter, so every sum goes through data._sum
+    for path in sorted((REPO_ROOT / "src" / "qcm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "sum", f"{path.name}:{node.lineno}: bare sum()"
 
 
 def test_package_reads_no_environment_variable():
