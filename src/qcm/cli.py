@@ -636,7 +636,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--plot", default=None, metavar="SVG_PATH")
 
     p = sub.add_parser(
@@ -644,17 +643,20 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--input", required=True, help="membership table path or -")
     p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("fock-fit", help="two-sector or general interference fits")
     p.add_argument("--input", required=True, help="membership table path or -")
     p.add_argument("--mode", choices=("two-sector", "general"), default="two-sector")
     p.add_argument("--policy", choices=FIT_POLICIES, default="min-interference")
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("chsh", help="CHSH and marginal-law analysis of a coincidence table")
     p.add_argument("--input", required=True, help="coincidence table path or -")
     p.add_argument("--model", default=None, help="optional reference model to verify")
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("stats-fit", help="MB vs BE distribution fits")

@@ -217,11 +217,16 @@ def parse_membership_table(text: str) -> list[MembershipRecord]:
 
 def _membership_from_csv(text: str) -> list[MembershipRecord]:
     reader = csv.reader(io.StringIO(text))
+    rows = []  # (physical line, cells); csv yields [] for blank lines
     try:
-        rows = [row for row in reader if row]  # csv yields [] for blank lines
-    except csv.Error as exc:  # a field over csv's size limit; a NUL before Python 3.11
+        for row in reader:
+            if any("\0" in cell for cell in row):  # csv itself rejects NUL only before 3.11
+                raise csv.Error("line contains NUL")
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # a NUL, or a field over csv's size limit
         raise DataValidationError(f"line {reader.line_num}: {exc}") from None
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     seen = set()
     for name in header:
         if name not in MEMBERSHIP_COLUMNS:
@@ -230,7 +235,7 @@ def _membership_from_csv(text: str) -> list[MembershipRecord]:
             raise SchemaError(f"header: duplicate column {name!r}")
         seen.add(name)
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(header):

@@ -256,14 +256,16 @@ def fit_two_sector(
     policy: str = "min-interference",
     tolerance: float = FIT_TOLERANCE,
 ) -> FitResult:
-    """Solve for (m2, theta) reproducing ``target`` within ``tolerance``, if possible.
+    """Solve for (m2, theta) reproducing ``target``; ``tolerance`` decides only ``feasible``.
 
-    The model is linear in m2 and in cos(theta), so the feasible set is an
-    interval of m2 values with theta determined by
-    ``cos(theta) = (target - avg - m2*(logical - avg)) / ((1-m2) * I)``;
-    the canonical representative under ``policy`` is computed in closed
-    form.  Infeasibility is a result state (feasible=False with the
-    least-residual parameters), not an error.
+    The model is linear in m2 and in cos(theta): with ``offset = target -
+    avg`` and ``span = logical - avg``, m2 reproduces the target exactly iff
+    ``|offset - m2*span| <= (1-m2)*I``, at ``cos(theta) = (offset - m2*span)
+    / ((1-m2)*I)``.  Those two linear inequalities cut one interval of m2
+    from [0, 1], the exact solution set reported as ``family``; its ends
+    are snapped to 0 or 1 only at float resolution.  When it is empty the
+    fit returns the closest attainable point.  ``feasible`` is ``residual
+    <= tolerance`` either way, and infeasibility is a result state.
 
     Policies pick the canonical point of an underdetermined fit.
     ``min-interference``: smallest |cos theta|, ties broken by smallest m2
@@ -284,110 +286,63 @@ def fit_two_sector(
     offset = target - avg  # sector-1 shift the interference must supply at m2=0
     span = logical - avg
 
-    lo_attain = min(logical, avg - interf)
-    hi_attain = max(logical, avg + interf)
-
     def result(m2: float, theta_rad: float, feasible_set: FeasibleSet) -> FitResult:
-        params = FockParams(
-            m2=m2, n2=1.0 - m2, theta_rad=theta_rad, connective=connective
-        )
+        params = FockParams(m2=m2, n2=1.0 - m2, theta_rad=theta_rad, connective=connective)
         residual = abs(eval_two_sector(mu_a, mu_b, params).value - target)
-        return FitResult(
-            params=params,
-            residual=residual,
-            feasible=residual <= tolerance,
-            family=feasible_set,
-            policy=policy,
-            tolerance=tolerance,
-        )
+        return FitResult(params=params, residual=residual, feasible=residual <= tolerance,
+                         family=feasible_set, policy=policy, tolerance=tolerance)
 
-    if target < lo_attain - tolerance or target > hi_attain + tolerance:
-        # outside the attainable hull: report the boundary point closest to it
-        if target > hi_attain:
-            m2, theta = (1.0, math.pi / 2) if logical >= avg + interf else (0.0, 0.0)
-        else:
-            m2, theta = (1.0, math.pi / 2) if logical <= avg - interf else (0.0, math.pi)
+    # for s = +1 and -1 the condition reads m2*(I - s*span) <= I - s*offset:
+    # a bound at the root (s*I - offset) / (s*I - span), upper when
+    # I > s*span, lower when I < s*span, and all or nothing when they are equal
+    m2_lo, m2_hi = 0.0, 1.0
+    for s in (1.0, -1.0):
+        den, num = s * interf - span, s * interf - offset
+        if abs(den) > _EPS:
+            root = num / den
+            if -_EPS <= root <= 0.0 or abs(root - 1.0) <= _EPS:
+                root = float(round(root))  # float noise at an end of [0, 1]
+            if s * den > 0.0:
+                m2_hi = min(m2_hi, root)
+            else:
+                m2_lo = max(m2_lo, root)
+        elif s * num < -_EPS:
+            m2_lo = math.inf  # the bound fails at every m2
+
+    if m2_lo > m2_hi:
+        # no exact solution: the closest attainable point is the nearer end of the range
+        lo_attain, hi_attain = min(logical, avg - interf), max(logical, avg + interf)
+        end = hi_attain if target > hi_attain else lo_attain
+        m2, theta = (1.0, math.pi / 2) if end == logical else (0.0, 0.0 if target > avg else math.pi)
         note = f"no exact solution; attainable range [{lo_attain:.6g}, {hi_attain:.6g}]"
         return result(m2, theta, FeasibleSet(kind="empty", note=note))
 
     if interf <= _EPS:
         # interference term dead: value = m2*logical + (1-m2)*avg, theta free
         if abs(span) <= _EPS:
-            m2_lo, m2_hi = 0.0, 1.0
             note = "interference weight 0 and logical = average: any (m2, theta) works"
+            family = FeasibleSet(kind="curve", m2_min=0.0, m2_max=1.0, note=note)
         else:
-            m2_star = min(max(offset / span, 0.0), 1.0)
-            m2_lo = m2_hi = m2_star
+            m2 = min(max(offset / span, 0.0), 1.0)
             note = "interference weight 0: m2 fixed, theta unconstrained"
-        m2 = m2_lo
-        if abs(avg + m2 * span - target) > tolerance:
-            note = "no exact solution; interference weight 0 pins the value"
-            return result(m2, math.pi / 2, FeasibleSet(kind="empty", note=note))
-        return result(
-            m2,
-            math.pi / 2,
-            FeasibleSet(kind="point" if m2_lo == m2_hi else "curve",
-                        m2_min=m2_lo, m2_max=m2_hi, note=note),
-        )
+            family = FeasibleSet(kind="point", m2_min=m2, m2_max=m2, note=note)
+        return result(family.m2_min, math.pi / 2, family)
 
-    def cos_at(m2: float) -> float:
-        return (offset - span * m2) / ((1.0 - m2) * interf)
-
-    # the set {m2 in [0,1): |cos| <= 1} is an interval; m2=1 joins it iff
-    # target == logical
-    def feasible_interval() -> tuple[float, float]:
-        ends = []
-        if abs(cos_at(0.0)) <= 1.0 + 1e-9:
-            ends.append(0.0)
-        for s in (1.0, -1.0):
-            den = s * interf - span
-            if abs(den) > _EPS:
-                root = (s * interf - offset) / den
-                if -1e-9 <= root < 1.0 and abs(cos_at(root)) <= 1.0 + 1e-6:
-                    ends.append(min(max(root, 0.0), 1.0))
-        if abs(target - logical) <= tolerance:
-            ends.append(1.0)
-        if not ends:
-            return (math.nan, math.nan)
-        return (min(ends), max(ends))
-
-    m2_lo, m2_hi = feasible_interval()
-
+    # |cos theta| grows with m2 on [0, 1) unless it crosses zero at offset/span
+    # (span != 0 here: |span| >= I*(1-I) > 0)
+    zero = offset / span
+    if policy == "min-interference" and m2_lo - _EPS <= zero <= m2_hi + _EPS:
+        m2, theta = min(max(zero, m2_lo), m2_hi), math.pi / 2
+    elif m2_lo < 1.0:
+        cos_theta = (offset - span * m2_lo) / ((1.0 - m2_lo) * interf)
+        m2, theta = m2_lo, math.acos(min(max(cos_theta, -1.0), 1.0))
+    else:
+        m2, theta = 1.0, math.pi / 2
     if abs(offset - span) <= _EPS:
-        # cos(theta) requirement is constant in m2
-        c_const = offset / interf
-        if abs(c_const) <= _EPS:
-            # already the plain average: zero interference at any m2
-            canonical = (0.0, math.pi / 2)
-        else:
-            # target equals the logical value: m2=1 kills interference
-            canonical = (1.0, math.pi / 2)
-        if policy == "min-m2":
-            if abs(c_const) <= 1.0:
-                canonical = (0.0, math.acos(min(max(c_const, -1.0), 1.0)))
-            # else only m2=1 reaches the target; keep (1, 90 deg)
         note = "cos(theta) constant across m2; m2=1 reproduces the target exactly"
-        return result(
-            canonical[0], canonical[1],
-            FeasibleSet(kind="curve", m2_min=m2_lo, m2_max=m2_hi, note=note),
-        )
-
-    m2_zero_cross = offset / span if abs(span) > _EPS else math.nan
-    if policy == "min-interference":
-        if not math.isnan(m2_zero_cross) and -_EPS <= m2_zero_cross <= 1.0 + _EPS:
-            canonical = (min(max(m2_zero_cross, 0.0), 1.0), math.pi / 2)
-        else:
-            c0 = min(max(cos_at(0.0), -1.0), 1.0)
-            canonical = (0.0, math.acos(c0))
-    else:  # min-m2
-        m2_min = 0.0 if math.isnan(m2_lo) else m2_lo
-        c_min = min(max(cos_at(m2_min) if m2_min < 1.0 else 0.0, -1.0), 1.0)
-        canonical = (m2_min, math.acos(c_min) if m2_min < 1.0 else math.pi / 2)
-    note = "theta(m2) = acos((target - avg - m2*(logical - avg)) / ((1-m2)*I))"
-    return result(
-        canonical[0], canonical[1],
-        FeasibleSet(kind="curve", m2_min=m2_lo, m2_max=m2_hi, note=note),
-    )
+    else:
+        note = "theta(m2) = acos((target - avg - m2*(logical - avg)) / ((1-m2)*I))"
+    return result(m2, theta, FeasibleSet(kind="curve", m2_min=m2_lo, m2_max=m2_hi, note=note))
 
 
 MARGINAL_SLACK = 0.05  # how far the alpha marginals may stray from mu(A), mu(B)

@@ -74,11 +74,13 @@ def load_schema(name):
 
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_RUNS))
-def test_text_output_matches_golden(golden_name):
-    proc = run_cli(GOLDEN_RUNS[golden_name])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert_matches_golden(golden_name, proc.stdout)
+def test_text_output_matches_golden(golden_name, monkeypatch, capsys):
+    # in-process; test_acceptance runs every golden invocation in a fresh process
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(GOLDEN_RUNS[golden_name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert_matches_golden(golden_name, captured.out)
 
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_PAYLOAD_RUNS))
@@ -90,11 +92,12 @@ def test_payload_output_matches_golden(golden_name, monkeypatch, capsys):
     assert_matches_golden(golden_name, captured.out)
 
 
-def test_plot_output_matches_golden(tmp_path):
+def test_plot_output_matches_golden(tmp_path, monkeypatch, capsys):
     svg_name, args = GOLDEN_PLOT
+    monkeypatch.chdir(REPO_ROOT)
     target = tmp_path / "plot.svg"
-    proc = run_cli([*args, "--plot", str(target)])
-    assert proc.returncode == 0, proc.stderr
+    assert main([*args, "--plot", str(target)]) == 0
+    assert capsys.readouterr().err == ""
     assert_matches_golden(svg_name, target.read_text(encoding="utf-8"))
 
 
@@ -427,6 +430,40 @@ class TestToleranceControls:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tolerance must be a finite number > 0" in captured.err
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_fock_fit_tolerance_never_widens_the_solution_set(self, tmp_path, capsys, output):
+        # the target sits 0.0007 below everything the model can reach, inside
+        # --tolerance 0.001: a feasible verdict over an empty solution set
+        table = tmp_path / "table.csv"
+        table.write_text("exemplar,muA,muB,muAandB\nx,0.222,0.749,0.077\n")
+        argv = ["fock-fit", "--input", str(table), "--tolerance", "0.001", "--output", output]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if output == "json":
+            jsonschema.validate(json.loads(out), load_schema("fock_fit_report.json"))
+        else:
+            assert "nan" not in out
+            assert "feasible: yes" in out
+            assert "solution set: empty (no exact solution; attainable range" in out
+
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_stats_fit_has_no_tolerance(self, tmp_path, capsys, source):
+        uniform = str(DATA_DIR / "uniform11.json")
+        if source == "flag":
+            argv = ["stats-fit", "--input", uniform, "--tolerance", "0.5"]
+            message = "unrecognized arguments: --tolerance 0.5"
+        else:
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"runs": [
+                {"command": "stats-fit", "input": uniform, "tolerance": -3},
+            ]}))
+            argv = ["report", "--manifest", str(manifest)]
+            message = "manifest run 1: stats-fit has no flag for keys ['tolerance']"
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestReportManifest:

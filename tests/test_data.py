@@ -136,6 +136,19 @@ class TestMembershipParsing:
         with pytest.raises(SchemaError, match="invalid JSON"):
             parse_membership_table(lead + "[exemplar,muA,muB,muAorB]\n")
 
+    def test_row_number_is_the_physical_line(self):
+        # blank lines count, as they do in the csv module's own "line N" messages
+        text = "exemplar,muA,muB,muAorB\n\n\nx,0.1,oops,0.3\n"
+        with pytest.raises(DataValidationError, match=r"^row 4, column muB: 'oops'"):
+            parse_membership_table(text)
+
+    @pytest.mark.parametrize("cell", ["x\0y", '"x\0y"', "\0"])
+    def test_nul_in_a_cell_is_rejected(self, cell):
+        # the csv module itself rejects a NUL only before Python 3.11
+        text = f"exemplar,muA,muB,muAorB\n\n{cell},0.1,0.2,0.3\n"
+        with pytest.raises(DataValidationError, match=r"^line 3: line contains NUL$"):
+            parse_membership_table(text)
+
     def test_oversized_csv_field_names_line(self):
         # csv's field size limit is 131,072 characters; its csv.Error must not escape
         text = "exemplar,muA,muB,muAorB\nx,0.1,0.2,0.3\n" + "y" * 131_073 + ",0.1,0.2,0.3\n"

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -265,6 +266,75 @@ class TestTwoSectorFit:
                 assert abs(value - target) <= 1e-9
             else:
                 assert abs(value - target) == pytest.approx(result.residual, abs=1e-9)
+
+
+# float resolution in the model's own units: the fit snaps solution-set ends
+# within 1e-12 of 0 or 1 and treats an interference weight <= 1e-12 as dead
+SOLUTION_SET_SLACK = 1e-11
+
+
+def exact_workable_interval(mu_a, mu_b, target, connective, slack):
+    """{m2 in [0, 1]: |offset - m2*span| <= (1-m2)*I + slack} in exact rationals, or None."""
+    a, b, t = Fraction(mu_a), Fraction(mu_b), Fraction(target)
+    logical = a * b if connective == "and" else a + b - a * b
+    avg = (a + b) / 2
+    interf = Fraction(interference_magnitude(mu_a, mu_b))
+    offset, span = t - avg, logical - avg
+    lo, hi = Fraction(0), Fraction(1)
+    for s in (1, -1):  # m2 * (I - s*span) <= I - s*offset + slack
+        coef, rhs = interf - s * span, interf - s * offset + Fraction(slack)
+        if coef > 0:
+            hi = min(hi, rhs / coef)
+        elif coef < 0:
+            lo = max(lo, rhs / coef)
+        elif rhs < 0:
+            return None
+    return (lo, hi) if lo <= hi else None
+
+
+class TestTwoSectorSolutionSet:
+    """The reported solution set is exact; the tolerance decides only the verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu_a=st.one_of(unit, thousandths),
+        mu_b=st.one_of(unit, thousandths),
+        target=st.one_of(unit, thousandths),
+        connective=st.sampled_from(["and", "or"]),
+        policy=st.sampled_from(["min-interference", "min-m2"]),
+        tolerance=st.sampled_from([1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.2]),
+    )
+    @example(0.222, 0.749, 0.077, "and", "min-interference", 1e-3)  # a NaN interval before
+    def test_solution_set_matches_the_analytic_interval(
+        self, mu_a, mu_b, target, connective, policy, tolerance
+    ):
+        result = fit_two_sector(mu_a, mu_b, target, connective, policy, tolerance)
+        family = result.family
+        floats = [result.params.m2, result.params.theta_rad, result.residual]
+        floats += [end for end in (family.m2_min, family.m2_max) if end is not None]
+        assert all(math.isfinite(value) for value in floats)
+        assert result.feasible == (result.residual <= tolerance)
+
+        # the analytic set, shrunk and grown by the slack: the fit's set lies between
+        sharp = exact_workable_interval(mu_a, mu_b, target, connective, -SOLUTION_SET_SLACK)
+        loose = exact_workable_interval(mu_a, mu_b, target, connective, SOLUTION_SET_SLACK)
+        if sharp is not None:
+            assert family.kind != "empty"
+        if loose is None:
+            assert family.kind == "empty"
+        if family.kind == "empty":
+            logical = mu_a * mu_b if connective == "and" else mu_a + mu_b - mu_a * mu_b
+            avg = (mu_a + mu_b) / 2.0
+            interf = interference_magnitude(mu_a, mu_b)
+            lo, hi = min(logical, avg - interf), max(logical, avg + interf)
+            distance = max(lo - target, target - hi, 0.0)
+            assert result.residual == pytest.approx(distance, abs=SOLUTION_SET_SLACK)
+            return
+        assert family.m2_min <= result.params.m2 <= family.m2_max
+        m2_min, m2_max = Fraction(family.m2_min), Fraction(family.m2_max)
+        assert loose[0] <= m2_min and m2_max <= loose[1]
+        if sharp is not None:
+            assert m2_min <= sharp[0] and sharp[1] <= m2_max
 
 
 class TestGeneralModelStructure:
