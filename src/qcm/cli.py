@@ -633,6 +633,7 @@ _COMMANDS = {
 def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description="concept-combination analysis toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices  # command -> its parser, whose usage an error shows
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
@@ -674,7 +675,10 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(None if argv is None else list(argv))
+        args, unknown = parser.parse_known_args(None if argv is None else list(argv))
+        if unknown:
+            chosen = parser if args.command is None else parser.commands[args.command]
+            chosen.error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command is None:
             parser.error("a command is required")
         build, render = _COMMANDS[args.command]

@@ -342,7 +342,8 @@ def fit_two_sector(
         note = "cos(theta) constant across m2; m2=1 reproduces the target exactly"
     else:
         note = "theta(m2) = acos((target - avg - m2*(logical - avg)) / ((1-m2)*I))"
-    return result(m2, theta, FeasibleSet(kind="curve", m2_min=m2_lo, m2_max=m2_hi, note=note))
+    kind = "point" if m2_lo == m2_hi else "curve"  # the ends are already snapped
+    return result(m2, theta, FeasibleSet(kind=kind, m2_min=m2_lo, m2_max=m2_hi, note=note))
 
 
 MARGINAL_SLACK = 0.05  # how far the alpha marginals may stray from mu(A), mu(B)
@@ -369,15 +370,63 @@ def _solve_pair(target: float, avg: float, alpha: float, interf: float):
     return 0.0, abs(beta), 0.0 if beta >= 0.0 else math.pi
 
 
+_CLIP_SLACK = 1e-9  # the clip's relaxation, far above the enumeration's _EPS / 10
+
+
 def _least_slack_point(bounds, box):
     """Least-slack (sa, sb, a1) meeting every a1 bound, or None.
 
     ``bounds`` holds (lower, (c0, c1, c2)) affine bounds c0 + c1*sa + c2*sb
-    on a1; ``box`` is (sa_lo, sa_hi, sb_lo, sb_hi).  Eliminating a1 leaves
-    lower - upper <= 0 for every pair of bounds, a 2-D polygon inside the
-    box.  |sa| + |sb| is linear on each quadrant, so its minimum lies on a
-    vertex of the polygon cut by the axes: an intersection of two of those
-    lines.  Ties go to the smallest sa, then sb; a1 sits at its lower bound.
+    on a1; ``box`` is (sa_lo, sa_hi, sb_lo, sb_hi).  A set with no point in
+    the box within 1e-9 of every bound is rejected by a clip; any other goes
+    to the vertex enumeration, so a result is always the enumeration's.
+    """
+    if _slack_polygon_is_empty(bounds, box):
+        return None
+    return _least_slack_vertex(bounds, box)
+
+
+def _slack_polygon_is_empty(bounds, box) -> bool:
+    """Whether no (sa, sb) in the box has every lower - upper <= _CLIP_SLACK.
+
+    Sutherland-Hodgman: the box, as a polygon, is clipped by each relaxed
+    half-plane in turn, O(constraints * vertices), stopping once it is empty.
+    A vertex the enumeration accepts is within 1e-13 of the box and of every
+    half-plane, and the coefficients of sa and sb are at most 2, so the
+    relaxed polygon keeps a quarter-disc of radius ~3e-10 beside it: float
+    error in the clip, ~1e-15, cannot empty it.
+    """
+    sa_lo, sa_hi, sb_lo, sb_hi = box
+    polygon = [(sa_lo, sb_lo), (sa_hi, sb_lo), (sa_hi, sb_hi), (sa_lo, sb_hi)]
+    uppers = [form for lower, form in bounds if not lower]
+    for c0, c1, c2 in (form for lower, form in bounds if lower):
+        for d0, d1, d2 in uppers:
+            g0, g1, g2 = c0 - d0 - _CLIP_SLACK, c1 - d1, c2 - d2
+            values = [g0 + g1 * sa + g2 * sb for sa, sb in polygon]
+            if max(values) <= 0.0:
+                continue
+            clipped = []
+            for i, (sa, sb) in enumerate(polygon):  # the edge from vertex i - 1 to i
+                v, (pa, pb), pv = values[i], polygon[i - 1], values[i - 1]
+                if (v <= 0.0) != (pv <= 0.0):
+                    t = pv / (pv - v)
+                    clipped.append((pa + t * (sa - pa), pb + t * (sb - pb)))
+                if v <= 0.0:
+                    clipped.append((sa, sb))
+            if not clipped:
+                return True
+            polygon = clipped
+    return False
+
+
+def _least_slack_vertex(bounds, box):
+    """The least-slack vertex of the polygon that ``bounds`` cut from ``box``, or None.
+
+    Eliminating a1 leaves lower - upper <= 0 for every pair of bounds, a
+    2-D polygon inside the box.  |sa| + |sb| is linear on each quadrant, so
+    its minimum lies on a vertex of the polygon cut by the axes: an
+    intersection of two of those lines, all pairs of which are tried.  Ties
+    go to the smallest sa, then sb; a1 sits at its lower bound.
     """
     tol = _EPS / 10  # tighter than _solve_pair's, so a chosen pair stays free
     lowers = [form for lower, form in bounds if lower]
@@ -432,9 +481,11 @@ def fit_general_quadruple(
     The fit is therefore a choice among at most 2**4 subsets of pairs made
     interference-free.  Each subset is feasible iff a linear program in
     (sa, sb, a1) is, and the subsets are searched heaviest removed weight
-    first, stopping at the first weight level with a feasible subset.  The
-    result is the proven least-interference representative, not a search
-    estimate.  Ties are broken, in order, by least marginal slack
+    first, stopping at the first weight level with a feasible subset.  A
+    clip of the slack box first rejects the subsets with no point within
+    1e-9 of feasibility, most of them, so the result is still the vertex
+    enumeration's: the proven least-interference representative, not a
+    search estimate.  Ties are broken, in order, by least marginal slack
     |sa| + |sb|, then the smallest sa, then the smallest sb, then a1 at its
     lower bound (the smallest alpha_AB).
     """

@@ -139,18 +139,19 @@ def test_plot_output_is_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("schema_name,args", JSON_SCHEMA_RUNS)
-def test_json_output_validates_against_schema(schema_name, args):
-    proc = run_cli([*args, "--output", "json"])
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
+def test_json_output_validates_against_schema(schema_name, args, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    code = main([*args, "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
     jsonschema.validate(payload, load_schema(schema_name))
 
 
-def test_json_payload_structure():
-    proc = run_cli(
-        ["classicality", "--input", "data/goldfish.csv", "--output", "json"]
-    )
-    payload = json.loads(proc.stdout)
+def test_json_payload_structure(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    main(["classicality", "--input", "data/goldfish.csv", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["report"] == "classicality"
     assert payload["input"] == "goldfish.csv"
     assert payload["records"][0]["exemplar"] == "Goldfish"
@@ -464,6 +465,13 @@ class TestToleranceControls:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_unknown_flag_shows_the_command_usage(self, capsys):
+        argv = ["stats-fit", "--input", str(DATA_DIR / "uniform11.json"), "--tolerance", "0.5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qcm stats-fit ")
+        assert "unrecognized arguments: --tolerance 0.5" in err
 
 
 class TestReportManifest:

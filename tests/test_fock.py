@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,6 +33,12 @@ from qcm import (
     interference_magnitude,
     joint_targets,
     record_marginals,
+)
+from qcm.fock import (
+    MARGINAL_SLACK,
+    _least_slack_point,
+    _least_slack_vertex,
+    _slack_polygon_is_empty,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -216,6 +222,13 @@ class TestTwoSectorFit:
         assert result.family.kind == "empty"
         assert "attainable range [0, 0.15]" in result.family.note
         assert result.residual == pytest.approx(0.15, abs=1e-12)
+
+    def test_one_point_solution_set_is_a_point(self):
+        # the exact interval closes to m2 = 0 here: one point, not a curve
+        result = fit_two_sector(0.766, 0.766, 0.532, "and")
+        assert result.feasible
+        assert result.family.kind == "point"
+        assert result.family.m2_min == result.family.m2_max == 0.0
 
     def test_fully_degenerate_inputs(self):
         # both marginals zero: every parameter choice predicts 0
@@ -487,6 +500,72 @@ class TestGeneralModelFit:
         assert abs(result.params.ab.alpha + result.params.abp.alpha - mu_a) <= 0.05 + 1e-9
         assert abs(result.params.ab.alpha + result.params.apb.alpha - mu_b) <= 0.05 + 1e-9
         assert general_fit_interference(result) <= general_fit_grid_oracle(record) + 1e-9
+
+
+# the general fit's alpha slice: alpha = sign*a1 + f0 + f1*sa + f2*sb, pair by pair
+def slice_forms(mu_a, mu_b):
+    return (
+        (1.0, (0.0, 0.0, 0.0)),
+        (-1.0, (mu_a, 1.0, 0.0)),
+        (-1.0, (mu_b, 0.0, 1.0)),
+        (1.0, (1.0 - mu_a - mu_b, -1.0, -1.0)),
+    )
+
+
+@st.composite
+def slack_problems(draw):
+    """Bounds on a1 and a slack box of the shapes fit_general_quadruple builds."""
+    weight = st.one_of(thousandths, unit)
+    mu_a, mu_b = draw(weight), draw(weight)
+    forms = slice_forms(mu_a, mu_b)
+    # every alpha >= 0, then alpha >= level or alpha <= level for some pairs
+    wanted = [(form, 0.0, 1.0) for form in forms]
+    wanted += [
+        (form, draw(weight), draw(st.sampled_from([1.0, -1.0])))
+        for form in forms
+        if draw(st.booleans())
+    ]
+    bounds = [
+        (side * sign > 0.0, (sign * (level - f0), -sign * f1, -sign * f2))
+        for (sign, (f0, f1, f2)), level, side in wanted
+    ]
+    delta = MARGINAL_SLACK
+    box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a), max(-delta, -mu_b), min(delta, 1.0 - mu_b))
+    return bounds, box
+
+
+class TestLeastSlackClip:
+    """The box clip rejects only what the vertex enumeration finds infeasible."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem=slack_problems())
+    # feasible only within float noise of one vertex: a clip relaxed by 0 rejects both
+    @example(problem=(
+        [(True, (0.0, -0.0, -0.0)), (False, (0.842, 1.0, 0.0)), (False, (0.883, 0.0, 1.0)),
+         (True, (0.725, 1.0, 1.0)), (True, (0.43799999999999994, 1.0, 0.0)),
+         (True, (0.775, 0.0, 1.0)), (False, (0.725, 1.0, 1.0))],
+        (-0.05, 0.05, -0.05, 0.05),
+    ))
+    @example(problem=(
+        [(True, (0.0, -0.0, -0.0)), (False, (-0.0, 1.0, 0.0)), (False, (0.023, 0.0, 1.0)),
+         (True, (-0.977, 1.0, 1.0)), (True, (-0.298, 1.0, 0.0)),
+         (True, (-0.26699999999999996, 0.0, 1.0)), (True, (0.02300000000000002, 1.0, 1.0))],
+        (-0.0, 0.05, -0.023, 0.05),
+    ))
+    def test_clip_agrees_with_the_enumeration(self, problem):
+        bounds, box = problem
+        enumerated = _least_slack_vertex(bounds, box)
+        if _slack_polygon_is_empty(bounds, box):
+            assert enumerated is None
+        assert _least_slack_point(bounds, box) == enumerated
+
+    def test_clip_rejects_some_generated_problems(self):
+        bounds, box = find(
+            slack_problems(),
+            lambda problem: _slack_polygon_is_empty(*problem),
+            settings=settings(max_examples=400, database=None),
+        )
+        assert _least_slack_point(bounds, box) is None
 
 
 # Published two-sector triples that miss their own target weight: (label,
