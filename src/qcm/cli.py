@@ -241,6 +241,9 @@ def _render_classicality(payload: dict) -> list[str]:
 
 
 def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
+    if args.mode == "general" and args.policy is not None:  # the general fit has one policy
+        raise UsageError(f"{_PROG}: error: --policy applies only to --mode two-sector")
+    policy = args.policy or "min-interference"
     tolerance = _resolve_tolerance(args.tolerance, fock.FIT_TOLERANCE)
     records = parse_membership_table(_read_input(args.input))
     name = _input_name(args.input)
@@ -253,7 +256,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                     continue
                 target = record.value(column)
                 result = fock.fit_two_sector(
-                    record.mu_a, record.mu_b, target, connective, args.policy, tolerance
+                    record.mu_a, record.mu_b, target, connective, policy, tolerance
                 )
                 params = result.params
                 predicted = fock.eval_two_sector(record.mu_a, record.mu_b, params)
@@ -305,7 +308,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
         "report": "fock-fit",
         "mode": args.mode,
         "input": name,
-        **({"policy": args.policy} if args.mode == "two-sector" else {}),
+        **({"policy": policy} if args.mode == "two-sector" else {}),
         "tolerance": tolerance,
         "fits": fits,
     }
@@ -650,7 +653,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fock-fit", help="two-sector or general interference fits")
     p.add_argument("--input", required=True, help="membership table path or -")
     p.add_argument("--mode", choices=("two-sector", "general"), default="two-sector")
-    p.add_argument("--policy", choices=FIT_POLICIES, default="min-interference")
+    p.add_argument("--policy", choices=FIT_POLICIES, default=None)
     p.add_argument("--tolerance", type=float, default=None)
     common(p)
 

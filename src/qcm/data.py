@@ -339,9 +339,6 @@ class CoincidenceTable:
         except KeyError:
             raise KeyError(f"unknown block {key!r} (expected one of {BLOCKS})") from None
 
-    def blocks(self) -> dict[str, tuple[CoincidenceOutcome, ...]]:
-        return {key: self.block(key) for key in BLOCKS}
-
 
 _BLOCK_ATTR = {"AB": "ab", "ABp": "abp", "ApB": "apb", "ApBp": "apbp"}
 

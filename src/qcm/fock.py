@@ -370,97 +370,70 @@ def _solve_pair(target: float, avg: float, alpha: float, interf: float):
     return 0.0, abs(beta), 0.0 if beta >= 0.0 else math.pi
 
 
-_CLIP_SLACK = 1e-9  # the clip's relaxation, far above the enumeration's _EPS / 10
+def _clip(polygon, g, tol):
+    """Sutherland-Hodgman: the part of ``polygon``, a list of (vertex, line of
+    the edge leaving it), where g0 + g1*sa + g2*sb <= tol.
+
+    A new vertex is where the edge's line crosses g, by Cramer's rule: exact
+    under a swap or a negation of either line, so its bits do not depend on
+    the order in which the two lines are met.
+    """
+    g0, g1, g2 = g
+    inside = [g0 + g1 * sa + g2 * sb <= tol for (sa, sb), _ in polygon]
+    if all(inside):
+        return polygon
+    if not any(inside):
+        return []
+    clipped = []
+    for (vertex, edge), here, there in zip(polygon, inside, inside[1:] + inside[:1]):
+        if here:
+            clipped.append((vertex, edge))
+        if here != there:
+            c0, c1, c2 = edge
+            det = c1 * g2 - c2 * g1
+            if det != 0.0:
+                point = ((c2 * g0 - c0 * g2) / det, (c0 * g1 - c1 * g0) / det)
+                clipped.append((point, g if here else edge))
+    return clipped
 
 
 def _least_slack_point(bounds, box):
     """Least-slack (sa, sb, a1) meeting every a1 bound, or None.
 
     ``bounds`` holds (lower, (c0, c1, c2)) affine bounds c0 + c1*sa + c2*sb
-    on a1; ``box`` is (sa_lo, sa_hi, sb_lo, sb_hi).  A set with no point in
-    the box within 1e-9 of every bound is rejected by a clip; any other goes
-    to the vertex enumeration, so a result is always the enumeration's.
-    """
-    if _slack_polygon_is_empty(bounds, box):
-        return None
-    return _least_slack_vertex(bounds, box)
-
-
-def _slack_polygon_is_empty(bounds, box) -> bool:
-    """Whether no (sa, sb) in the box has every lower - upper <= _CLIP_SLACK.
-
-    Sutherland-Hodgman: the box, as a polygon, is clipped by each relaxed
-    half-plane in turn, O(constraints * vertices), stopping once it is empty.
-    A vertex the enumeration accepts is within 1e-13 of the box and of every
-    half-plane, and the coefficients of sa and sb are at most 2, so the
-    relaxed polygon keeps a quarter-disc of radius ~3e-10 beside it: float
-    error in the clip, ~1e-15, cannot empty it.
-    """
-    sa_lo, sa_hi, sb_lo, sb_hi = box
-    polygon = [(sa_lo, sb_lo), (sa_hi, sb_lo), (sa_hi, sb_hi), (sa_lo, sb_hi)]
-    uppers = [form for lower, form in bounds if not lower]
-    for c0, c1, c2 in (form for lower, form in bounds if lower):
-        for d0, d1, d2 in uppers:
-            g0, g1, g2 = c0 - d0 - _CLIP_SLACK, c1 - d1, c2 - d2
-            values = [g0 + g1 * sa + g2 * sb for sa, sb in polygon]
-            if max(values) <= 0.0:
-                continue
-            clipped = []
-            for i, (sa, sb) in enumerate(polygon):  # the edge from vertex i - 1 to i
-                v, (pa, pb), pv = values[i], polygon[i - 1], values[i - 1]
-                if (v <= 0.0) != (pv <= 0.0):
-                    t = pv / (pv - v)
-                    clipped.append((pa + t * (sa - pa), pb + t * (sb - pb)))
-                if v <= 0.0:
-                    clipped.append((sa, sb))
-            if not clipped:
-                return True
-            polygon = clipped
-    return False
-
-
-def _least_slack_vertex(bounds, box):
-    """The least-slack vertex of the polygon that ``bounds`` cut from ``box``, or None.
-
-    Eliminating a1 leaves lower - upper <= 0 for every pair of bounds, a
-    2-D polygon inside the box.  |sa| + |sb| is linear on each quadrant, so
-    its minimum lies on a vertex of the polygon cut by the axes: an
-    intersection of two of those lines, all pairs of which are tried.  Ties
-    go to the smallest sa, then sb; a1 sits at its lower bound.
+    on a1; ``box`` is (sa_lo, sa_hi, sb_lo, sb_hi).  Eliminating a1 leaves
+    lower - upper <= 0 for every pair of bounds: the box is clipped by each,
+    stopping once it is empty.  |sa| + |sb| is linear on each sign quadrant,
+    so its least lies on a vertex of the polygon clipped by a quadrant.
+    Every test is relaxed by one tolerance, _EPS / 10.  Ties go to the
+    smallest sa, then sb; a1 sits at its lower bound.
     """
     tol = _EPS / 10  # tighter than _solve_pair's, so a chosen pair stays free
     lowers = [form for lower, form in bounds if lower]
     uppers = [form for lower, form in bounds if not lower]
     sa_lo, sa_hi, sb_lo, sb_hi = box
-    constraints = {(sa_lo, -1.0, 0.0), (-sa_hi, 1.0, 0.0), (sb_lo, 0.0, -1.0), (-sb_hi, 0.0, 1.0)}
+    sides = [(sb_lo, 0.0, -1.0), (-sa_hi, 1.0, 0.0), (-sb_hi, 0.0, 1.0), (sa_lo, -1.0, 0.0)]
+    corners = [(sa_lo, sb_lo), (sa_hi, sb_lo), (sa_hi, sb_hi), (sa_lo, sb_hi)]
+    polygon = list(zip(corners, sides))  # each corner with the side that leaves it
+    constraints = list(sides)
     for low in lowers:
         for up in uppers:
             g = (low[0] - up[0], low[1] - up[1], low[2] - up[2])
-            if g[1] == g[2] == 0.0:
-                if g[0] > tol:
-                    return None
-            else:
-                constraints.add(g)
-    constraints = list(constraints)
-    lines = constraints + [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # plus the axes
-    best = None
-    for i, (c0, c1, c2) in enumerate(lines):
-        for d0, d1, d2 in lines[i + 1:]:
-            det = c1 * d2 - c2 * d1
-            if det == 0.0:
-                continue
-            sa = (c2 * d0 - c0 * d2) / det
-            sb = (c0 * d1 - c1 * d0) / det
-            if all(g0 + g1 * sa + g2 * sb <= tol for g0, g1, g2 in constraints):
-                # slack rounded so that float noise cannot decide a tie
-                key = (round(abs(sa) + abs(sb), 12), sa, sb)
-                if best is None or key < best:
-                    best = key
-    if best is None:
+            constraints.append(g)
+            polygon = _clip(polygon, g, tol)  # a constant g keeps all or nothing
+            if not polygon:
+                return None
+    keys = [
+        (round(abs(sa) + abs(sb), 12), sa, sb)  # rounded so that float noise cannot decide a tie
+        for half in (_clip(polygon, (0.0, -1.0, 0.0), tol), _clip(polygon, (0.0, 1.0, 0.0), tol))
+        for quadrant in (_clip(half, (0.0, 0.0, -1.0), tol), _clip(half, (0.0, 0.0, 1.0), tol))
+        for (sa, sb), _ in quadrant
+        if all(g0 + g1 * sa + g2 * sb <= tol for g0, g1, g2 in constraints)
+    ]
+    if not keys:
         return None
-    _, sa, sb = best
-    a1 = max(c0 + c1 * sa + c2 * sb for c0, c1, c2 in lowers)
-    return best + (a1,)
+    _, sa, sb = best = min(keys)
+    return best + (max(c0 + c1 * sa + c2 * sb for c0, c1, c2 in lowers),)
 
 
 def fit_general_quadruple(
@@ -481,13 +454,13 @@ def fit_general_quadruple(
     The fit is therefore a choice among at most 2**4 subsets of pairs made
     interference-free.  Each subset is feasible iff a linear program in
     (sa, sb, a1) is, and the subsets are searched heaviest removed weight
-    first, stopping at the first weight level with a feasible subset.  A
-    clip of the slack box first rejects the subsets with no point within
-    1e-9 of feasibility, most of them, so the result is still the vertex
-    enumeration's: the proven least-interference representative, not a
-    search estimate.  Ties are broken, in order, by least marginal slack
-    |sa| + |sb|, then the smallest sa, then the smallest sb, then a1 at its
-    lower bound (the smallest alpha_AB).
+    first, stopping at the first weight level with a feasible subset.  Each
+    LP is solved exactly by ``_least_slack_point``: one clip of the slack
+    box, whose vertices on each sign quadrant are the only candidates, under
+    one tolerance.  The result is the proven least-interference
+    representative, not a search estimate.  Ties are broken, in order, by
+    least marginal slack |sa| + |sb|, then the smallest sa, then the
+    smallest sb, then a1 at its lower bound (the smallest alpha_AB).
     """
     mu_a, mu_b = record.require("muA", "muB")
     marginals = record_marginals(record)

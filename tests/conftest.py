@@ -48,13 +48,18 @@ GOLDEN_RUNS = {
 GOLDEN_PLOT = ("stats_fit_uniform11.svg", ["stats-fit", "--input", "data/uniform11.json"])
 
 # the JSON report of every GOLDEN_RUNS invocation, plus text for chsh without a
-# model; kept apart because the benchmark reads GOLDEN_RUNS as its op mix
+# model and the general fit of negation_demo; kept apart because the benchmark
+# reads GOLDEN_RUNS as its op mix
 GOLDEN_PAYLOAD_RUNS = {
     **{
         name.replace(".txt", ".json"): [*argv, "--output", "json"]
         for name, argv in GOLDEN_RUNS.items()
     },
     "chsh_animal_acts_no_model.txt": ["chsh", "--input", "data/animal_acts_table.json"],
+    # four records that all take the general fit's LP path, at full precision
+    "fock_fit_negation_demo_general.json": [
+        "fock-fit", "--input", "data/negation_demo.csv", "--mode", "general", "--output", "json",
+    ],
 }
 
 

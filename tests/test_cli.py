@@ -466,6 +466,22 @@ class TestToleranceControls:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_general_fit_has_no_policy(self, tmp_path, capsys, source):
+        goldfish = str(DATA_DIR / "goldfish.csv")
+        if source == "flag":
+            argv = ["fock-fit", "--input", goldfish, "--mode", "general", "--policy", "min-m2"]
+        else:
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"runs": [
+                {"command": "fock-fit", "input": goldfish, "mode": "general", "policy": "min-m2"},
+            ]}))
+            argv = ["report", "--manifest", str(manifest)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--policy applies only to --mode two-sector" in captured.err
+
     def test_unknown_flag_shows_the_command_usage(self, capsys):
         argv = ["stats-fit", "--input", str(DATA_DIR / "uniform11.json"), "--tolerance", "0.5"]
         assert main(argv) == 1

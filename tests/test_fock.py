@@ -34,12 +34,7 @@ from qcm import (
     joint_targets,
     record_marginals,
 )
-from qcm.fock import (
-    MARGINAL_SLACK,
-    _least_slack_point,
-    _least_slack_vertex,
-    _slack_polygon_is_empty,
-)
+from qcm.fock import _EPS, MARGINAL_SLACK, _least_slack_point
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 thousandths = st.integers(min_value=0, max_value=1000).map(lambda n: n / 1000)
@@ -534,8 +529,51 @@ def slack_problems(draw):
     return bounds, box
 
 
+def least_slack_vertex(bounds, box):
+    """Brute-force oracle for ``_least_slack_point``: every crossing of two lines.
+
+    Eliminating a1 leaves lower - upper <= 0 for every pair of bounds, a
+    2-D polygon inside the box.  |sa| + |sb| is linear on each quadrant, so
+    its minimum lies on a vertex of the polygon cut by the axes: an
+    intersection of two of those lines, all pairs of which are tried.  Ties
+    go to the smallest sa, then sb; a1 sits at its lower bound.
+    """
+    tol = _EPS / 10
+    lowers = [form for lower, form in bounds if lower]
+    uppers = [form for lower, form in bounds if not lower]
+    sa_lo, sa_hi, sb_lo, sb_hi = box
+    constraints = {(sa_lo, -1.0, 0.0), (-sa_hi, 1.0, 0.0), (sb_lo, 0.0, -1.0), (-sb_hi, 0.0, 1.0)}
+    for low in lowers:
+        for up in uppers:
+            g = (low[0] - up[0], low[1] - up[1], low[2] - up[2])
+            if g[1] == g[2] == 0.0:
+                if g[0] > tol:
+                    return None
+            else:
+                constraints.add(g)
+    constraints = list(constraints)
+    lines = constraints + [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # plus the axes
+    best = None
+    for i, (c0, c1, c2) in enumerate(lines):
+        for d0, d1, d2 in lines[i + 1:]:
+            det = c1 * d2 - c2 * d1
+            if det == 0.0:
+                continue
+            sa = (c2 * d0 - c0 * d2) / det
+            sb = (c0 * d1 - c1 * d0) / det
+            if all(g0 + g1 * sa + g2 * sb <= tol for g0, g1, g2 in constraints):
+                key = (round(abs(sa) + abs(sb), 12), sa, sb)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    _, sa, sb = best
+    a1 = max(c0 + c1 * sa + c2 * sb for c0, c1, c2 in lowers)
+    return best + (a1,)
+
+
 class TestLeastSlackClip:
-    """The box clip rejects only what the vertex enumeration finds infeasible."""
+    """The clipped polygon's quadrant vertices give what every crossing gives."""
 
     @settings(max_examples=400, deadline=None)
     @given(problem=slack_problems())
@@ -552,20 +590,32 @@ class TestLeastSlackClip:
          (True, (-0.26699999999999996, 0.0, 1.0)), (True, (0.02300000000000002, 1.0, 1.0))],
         (-0.0, 0.05, -0.023, 0.05),
     ))
+    # a float-noise tie at slack 0: the enumeration picks sb = -5.55e-17, the clip 0.0
+    @example(problem=(
+        [(True, (0.0, -0.0, -0.0)), (False, (0.06, 1.0, 0.0)), (False, (1.0, 0.0, 1.0)),
+         (True, (0.06000000000000005, 1.0, 1.0)), (False, (0.17400000000000004, 0.0, 1.0)),
+         (False, (0.09300000000000005, 1.0, 1.0))],
+        (-0.05, 0.05, -0.05, 0.0),
+    ))
+    # a1 >= 0.5 and a1 <= 0.2 whatever sa and sb are: a constant bound that fails
+    @example(problem=(
+        [(True, (0.5, 0.0, 0.0)), (False, (0.2, 0.0, 0.0))], (-0.05, 0.05, -0.05, 0.05),
+    ))
     def test_clip_agrees_with_the_enumeration(self, problem):
-        bounds, box = problem
-        enumerated = _least_slack_vertex(bounds, box)
-        if _slack_polygon_is_empty(bounds, box):
-            assert enumerated is None
-        assert _least_slack_point(bounds, box) == enumerated
+        solved, enumerated = _least_slack_point(*problem), least_slack_vertex(*problem)
+        if solved is None or enumerated is None:
+            assert solved is enumerated is None
+        else:
+            assert solved[0] == enumerated[0]  # the rounded slack
+            assert all(abs(x - y) <= 1e-12 for x, y in zip(solved[1:], enumerated[1:]))
 
     def test_clip_rejects_some_generated_problems(self):
         bounds, box = find(
             slack_problems(),
-            lambda problem: _slack_polygon_is_empty(*problem),
+            lambda problem: _least_slack_point(*problem) is None,
             settings=settings(max_examples=400, database=None),
         )
-        assert _least_slack_point(bounds, box) is None
+        assert least_slack_vertex(bounds, box) is None
 
 
 # Published two-sector triples that miss their own target weight: (label,
