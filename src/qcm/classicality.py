@@ -16,10 +16,9 @@ exactly on (-0.5, -0.5, -0.5, -0.5, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .data import MembershipRecord, _check_unit_interval
+from .data import MembershipRecord, Record, _check_unit_interval
 from .errors import DataValidationError, InsufficientDataError
 from .stats import RegressionResult, linear_regression
 
@@ -28,8 +27,7 @@ DEFAULT_TOLERANCE = 1e-9
 PROFILE_KEYS = ("iA", "iB", "iAp", "iBp", "iTotal")
 
 
-@dataclass(frozen=True)
-class ClassicalityVerdict:
+class ClassicalityVerdict(Record):
     """Outcome of one representability check.
 
     ``residuals`` maps condition name to signed deviation.  For inequality
@@ -109,8 +107,7 @@ def check_negation(
     return ClassicalityVerdict("negation", satisfied, residuals, tolerance)
 
 
-@dataclass(frozen=True)
-class DeviationProfile:
+class DeviationProfile(Record):
     """Signed deviations of a negation quadruple from additivity."""
 
     i_a: float

@@ -25,14 +25,13 @@ any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .data import (
     BLOCKS,
@@ -96,10 +95,10 @@ def _read_input(path: str) -> str:
 
 
 def _fields(obj) -> dict:
-    """A dataclass's fields, in order, under camelCase keys (m2_min -> m2Min)."""
+    """A record's fields, in order, under camelCase keys (m2_min -> m2Min)."""
     return {
-        re.sub(r"_(.)", lambda m: m.group(1).upper(), f.name): getattr(obj, f.name)
-        for f in dataclasses.fields(obj)
+        re.sub(r"_(.)", lambda m: m.group(1).upper(), name): getattr(obj, name)
+        for name in obj._fields
     }
 
 
@@ -568,38 +567,45 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     run_payloads = []
     all_charts: list[svg.Chart] = []
     for index, run in enumerate(manifest["runs"], start=1):
-        context = f"manifest run {index}"
-        if not isinstance(run, dict) or "command" not in run:
-            raise DataValidationError(f"{context}: missing 'command'")
-        command = run["command"]
-        if command not in _MANIFEST_COMMANDS:
-            raise DataValidationError(f"{context}: unknown command {command!r}")
-        name = run.get("name", f"run {index}")
-        if not isinstance(name, str):
-            raise DataValidationError(f"{context}: 'name' must be a string")
-        # every other key is one of the command's own flags, spelled in full
-        flags = {}
-        for key, value in run.items():
-            if key in ("command", "name"):
-                continue
-            if key in ("output", "plot"):
-                raise DataValidationError(f"{context}: {key!r} is set on qcm report, not per run")
-            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-                raise DataValidationError(
-                    f"{context}: {key!r} must be a string or a number, got {value!r:.40}"
-                )
-            value = str(value)
-            if key in ("input", "model"):
-                if value == "-" and stdin_read:
-                    raise UsageError(f"{_PROG}: error: {context}: {key} '-' reads stdin again")
-                stdin_read = stdin_read or value == "-"
-                value = resolve(value)
-            flags[f"--{key}={value}"] = key
-        sub_args, unknown = _build_parser().parse_known_args([command, *flags])
-        if unknown:
-            keys = [flags[arg] for arg in unknown]
-            raise UsageError(f"{_PROG}: error: {context}: {command} has no flag for keys {keys}")
-        payload, charts = _COMMANDS[command][0](sub_args, plot)
+        try:
+            if not isinstance(run, dict) or "command" not in run:
+                raise DataValidationError("missing 'command'")
+            command = run["command"]
+            if command not in _MANIFEST_COMMANDS:
+                raise DataValidationError(f"unknown command {command!r}")
+            name = run.get("name", f"run {index}")
+            if not isinstance(name, str):
+                raise DataValidationError("'name' must be a string")
+            # every other key is one of the command's own flags, spelled in full
+            flags = {}
+            for key, value in run.items():
+                if key in ("command", "name"):
+                    continue
+                if key in ("output", "plot"):
+                    raise DataValidationError(f"{key!r} is set on qcm report, not per run")
+                if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+                    raise DataValidationError(
+                        f"{key!r} must be a string or a number, got {value!r:.40}"
+                    )
+                value = str(value)
+                if key in ("input", "model"):
+                    if value == "-" and stdin_read:
+                        raise UsageError(f"{_PROG}: error: {key} '-' reads stdin again")
+                    stdin_read = stdin_read or value == "-"
+                    value = resolve(value)
+                flags[f"--{key}={value}"] = key
+            sub_args, unknown = _build_parser().parse_known_args([command, *flags])
+            if unknown:
+                keys = [flags[arg] for arg in unknown]
+                raise UsageError(f"{_PROG}: error: {command} has no flag for keys {keys}")
+            payload, charts = _COMMANDS[command][0](sub_args, plot)
+        except QcmError as exc:  # name the run, after the "PROG: error: " of a usage error
+            prefix, message = "", str(exc)
+            if isinstance(exc, UsageError):
+                head, sep, message = message.partition(": error: ")
+                prefix = head + sep
+            exc.args = (f"{prefix}manifest run {index}: {message}",)
+            raise
         run_payloads.append({"name": name, "command": command, "report": payload})
         all_charts.extend(charts)
     payload = {

@@ -9,10 +9,10 @@ Three dataset shapes are supported:
 * count datasets (JSON): relative frequencies over the N+1 occupation
   splits of N identical instances between two states.
 
-All types are immutable after construction and fully validated in
-``__post_init__``, which holds each field's one validator; parsers take
-the input as ``str`` and either return validated values or raise a
-``QcmError`` subclass.
+All types are ``Record`` subclasses, immutable after construction and
+fully validated in ``__post_init__``, which holds each field's one
+validator; parsers take the input as ``str`` and either return validated
+values or raise a ``QcmError`` subclass.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
 
@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 from .errors import DataValidationError, IncompleteRecordError, SchemaError
 
@@ -125,8 +124,74 @@ def _check_unit_interval(value: float, label: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MembershipRecord:
+class Record:
+    """Base of qcm's immutable value types: a frozen dataclass, built without
+    the per-class code generation that makes ``dataclasses`` slow to start.
+
+    A subclass's fields, listed in ``_fields``, are the names annotated in its
+    own body, and a class attribute of the same name is a field's default.
+    ``__init__`` takes fields by position or keyword and calls
+    ``__post_init__``, which may normalise a field with ``object.__setattr__``.
+    Records compare, hash and ``repr`` by their fields as a dataclass does; a
+    subclass declared with ``eq=False`` compares by identity.
+    """
+
+    def __init_subclass__(cls, eq: bool = True):
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        values = self.__dict__
+        if args:
+            values.update(zip(self._fields, args))
+        values.update(kwargs)
+        if values.keys() != self._field_set or len(values) != len(args) + len(kwargs):
+            self._check_arguments(args, kwargs)
+        self.__post_init__()
+
+    def _check_arguments(self, args: tuple, kwargs: dict) -> None:
+        """Pass when only fields with defaults were left out, else raise ``TypeError``."""
+        fields, given, defaults = self._fields, self.__dict__, type(self).__dict__
+        missing = [name for name in fields if name not in given and name not in defaults]
+        if not missing and len(given) == len(args) + len(kwargs) and given.keys() <= self._field_set:
+            return
+        problems = {
+            "unexpected arguments": [*args[len(fields):], *(n for n in kwargs if n not in fields)],
+            "arguments given twice": [name for name in fields[: len(args)] if name in kwargs],
+            "missing arguments": missing,
+        }
+        for problem, names in problems.items():
+            if names:
+                raise TypeError(f"{type(self).__qualname__}.__init__() {problem}: {names}")
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MembershipRecord(Record):
     """Membership weights of one exemplar under two concepts A and B.
 
     Negation weights are free empirical quantities: ``mu_ap`` is NOT
@@ -273,8 +338,7 @@ def _membership_from_json(text: str) -> list[MembershipRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class CoincidenceOutcome:
+class CoincidenceOutcome(Record):
     """One labeled outcome of a joint measurement: labels, sign, probability."""
 
     first: str
@@ -297,8 +361,7 @@ class CoincidenceOutcome:
         )
 
 
-@dataclass(frozen=True)
-class CoincidenceTable:
+class CoincidenceTable(Record):
     """Four coincidence-measurement blocks of four signed outcomes each.
 
     Block keys, in fixed order: AB, ABp, ApB, ApBp (p marks the primed
@@ -368,8 +431,7 @@ def parse_coincidence(text: str) -> CoincidenceTable:
     )
 
 
-@dataclass(frozen=True)
-class CountDataset:
+class CountDataset(Record):
     """Observed relative frequencies over the N+1 occupation splits.
 
     ``observed[n]`` is the frequency of the configuration with n instances

@@ -18,16 +18,17 @@ and soft marginal matching.
 Predictions outside [0, 1] are flagged, never clamped: an out-of-range
 value signals an invalid parameter region, and fitters must avoid it.
 
-Angles cross the API boundary in degrees; dataclass fields store radians.
+Angles cross the API boundary in degrees; record fields store radians.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, _check_unit_interval, _sum
+from .data import (
+    BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, Record, _check_unit_interval, _sum,
+)
 from .errors import DataValidationError
 
 FIT_TOLERANCE = 1e-9
@@ -50,8 +51,7 @@ def interference_magnitude(mu_x: float, mu_y: float) -> float:
     return math.sqrt(mu_x * mu_y)
 
 
-@dataclass(frozen=True)
-class FockParams:
+class FockParams(Record):
     """Two-sector parameters for a single conjunction or disjunction."""
 
     m2: float
@@ -89,8 +89,7 @@ class FockParams:
         return math.degrees(self.theta_rad)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(Record):
     """Model output with an explicit range flag (no silent clamping)."""
 
     value: float
@@ -122,8 +121,7 @@ def eval_two_sector(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
     return _flagged(params.m2 * sector2 + params.n2 * sector1)
 
 
-@dataclass(frozen=True)
-class PairParams:
+class PairParams(Record):
     """General-model parameters for one combination XY."""
 
     m2: float
@@ -160,8 +158,7 @@ class PairParams:
         return math.degrees(self.phi_rad)
 
 
-@dataclass(frozen=True)
-class GeneralFockParams:
+class GeneralFockParams(Record):
     """Per-combination general-model parameters for the negation quadruple.
 
     The sector-2 state enters only through the alpha coefficients, which
@@ -222,8 +219,7 @@ def eval_general_record(
     }
 
 
-@dataclass(frozen=True)
-class FeasibleSet:
+class FeasibleSet(Record):
     """Shape of the full solution set of an underdetermined fit."""
 
     kind: str  # empty | point | curve
@@ -232,8 +228,7 @@ class FeasibleSet:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     params: object
     residual: float
     feasible: bool

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .data import (
-    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, _load_json, _object, _sum, _to_float,
+    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, Record, _load_json, _object, _sum, _to_float,
 )
 from .errors import DataValidationError, SchemaError
 
@@ -142,13 +141,15 @@ def _singular_values(m: Sequence[Sequence[complex]]) -> list[float]:
     return [max(value, 0.0) for value in _eigvalsh(h)[: n - 1 : -1]]
 
 
-@dataclass(frozen=True)
-class ComplexVector4:
-    """Four complex amplitudes, optionally validated as a unit state."""
+class ComplexVector4(Record):
+    """Four complex amplitudes, optionally validated as a unit state.
+
+    ``norm`` is derived from the amplitudes, not a field, so it stays out of
+    ``__init__``, ``repr`` and ``==``.
+    """
 
     amplitudes: tuple[complex, complex, complex, complex]
     is_state: bool = True
-    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amplitudes = tuple(
@@ -166,8 +167,7 @@ class ComplexVector4:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Observable4:
+class Observable4(Record, eq=False):
     """A 4x4 two-outcome observable with spectrum {+1, -1}, each twice.
 
     Hermitian within ``HERMITIAN_TOLERANCE`` entrywise, with eigenvalues
@@ -205,8 +205,7 @@ def _check_hermitian(matrix: Matrix4) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ExpectationValue:
+class ExpectationValue(Record):
     """Real part of <p|E|p> plus the imaginary residue as a diagnostic."""
 
     value: float
@@ -224,8 +223,7 @@ def expectation(state: ComplexVector4, obs: Observable4 | Matrix4) -> Expectatio
     return ExpectationValue(value=raw.real, imag_part=abs(raw.imag))
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(Record):
     e_ab: float
     e_abp: float
     e_apb: float
@@ -267,8 +265,7 @@ def expectations_from_table(table: CoincidenceTable) -> ChshReport:
     )
 
 
-@dataclass(frozen=True)
-class MarginalComparison:
+class MarginalComparison(Record):
     label: str
     block_a: str
     block_b: str
@@ -329,8 +326,7 @@ def _marginal_sum(table: CoincidenceTable, block: str, side: str, label: str) ->
     return _sum(o.p for o in table.block(block) if getattr(o, side) == label)
 
 
-@dataclass(frozen=True)
-class SchmidtReport:
+class SchmidtReport(Record):
     singular_values: tuple[float, float]
     rank: int
 
@@ -364,8 +360,7 @@ def realign(matrix: Matrix4) -> Matrix4:
     )
 
 
-@dataclass(frozen=True)
-class OperatorSchmidt:
+class OperatorSchmidt(Record):
     coefficients: tuple[float, float, float, float]  # descending
     product: bool
     nearest_product_error: float
@@ -387,8 +382,7 @@ def operator_product_test(obs: Observable4 | Matrix4) -> OperatorSchmidt:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertModel:
+class HilbertModel(Record, eq=False):
     """A C^4 state plus the four block observables, unvalidated.
 
     Validation happens in ``verify_reference_model`` so that defective
@@ -461,15 +455,13 @@ def parse_model(text: str) -> HilbertModel:
     return HilbertModel(state=state, operators=operators)
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ModelVerificationReport:
+class ModelVerificationReport(Record):
     checks: tuple[CheckItem, ...]
     all_passed: bool
     classification: str | None

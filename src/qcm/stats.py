@@ -30,10 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from .data import CountDataset, _check_unit_interval, _sum
+from .data import CountDataset, Record, _check_unit_interval, _sum
 from .errors import DataValidationError, InsufficientDataError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -69,8 +68,7 @@ def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float) -
     return (lo + hi) / 2.0
 
 
-@dataclass(frozen=True)
-class DistParams:
+class DistParams(Record):
     """One fitted family: MB or BE, success weight p1, N instances."""
 
     family: str
@@ -96,8 +94,7 @@ def pmf_vector(params: DistParams) -> tuple[float, ...]:
     return tuple((n * p1 + (big_n - n) * (1.0 - p1)) / scale for n in range(big_n + 1))
 
 
-@dataclass(frozen=True)
-class DistFit:
+class DistFit(Record):
     """A fitted family with its goodness-of-fit summary.
 
     ``r2`` is None when TSS = 0 (constant observations) and the fit is not
@@ -203,8 +200,7 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
     )
 
 
-@dataclass(frozen=True)
-class BicComparison:
+class BicComparison(Record):
     delta_bic: float
     winner: str
     strength: str
@@ -254,8 +250,7 @@ def compare_bic(fit_a: DistFit, fit_b: DistFit) -> BicComparison:
     return BicComparison(delta_bic=delta, winner=winner, strength=strength)
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(Record):
     """OLS line plus a Student-t confidence interval on the mean of y."""
 
     slope: float

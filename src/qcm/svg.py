@@ -8,9 +8,10 @@ layout are constants, and the output depends only on the chart data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from html import escape
-from typing import Sequence
+
+from .data import Record
 
 PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
 
@@ -22,14 +23,12 @@ _TITLE_BAND = 34
 _LABEL_BAND = 38
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     label: str
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     title: str
     categories: tuple[str, ...]
     series: tuple[Series, ...]

@@ -526,11 +526,27 @@ class TestReportManifest:
         assert errors[0] == errors[1]
         assert errors[0].startswith("usage: qcm fock-fit ")
         assert errors[0].endswith(
-            "qcm fock-fit: error: argument --mode: invalid choice: 'bogus' "
+            "qcm fock-fit: error: manifest run 1: argument --mode: invalid choice: 'bogus' "
             "(choose from 'two-sector', 'general')\n"
         )
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("run, message", [
+        ({"command": "classicality", "tolerance": -3},
+         "--tolerance must be a finite number > 0, got -3.0"),
+        ({"command": "fock-fit", "mode": "general", "policy": "min-m2"},
+         "--policy applies only to --mode two-sector"),
+    ], ids=["data-error", "usage-error"])
+    def test_error_inside_a_run_names_the_run(self, tmp_path, capsys, run, message):
+        goldfish = str(DATA_DIR / "goldfish.csv")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "classicality", "input": goldfish}, {**run, "input": goldfish},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qcm: error: manifest run 2: {message}\n"
 
     def test_run_confidence_reaches_the_report(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -21,6 +20,8 @@ from qcm import (
     NONLOCAL_NON_MARGINAL_BOX_1,
     TSIRELSON_BOUND,
     ChshReport,
+    CoincidenceOutcome,
+    CoincidenceTable,
     ComplexVector4,
     DataValidationError,
     Observable4,
@@ -429,9 +430,11 @@ class TestVerifyReferenceModel:
         block = list(animal_table.apb)
         plus = next(i for i, o in enumerate(block) if o.sign == 1)
         minus = next(i for i, o in enumerate(block) if o.sign == -1)
-        block[plus] = dataclasses.replace(block[plus], p=block[plus].p - 0.015)
-        block[minus] = dataclasses.replace(block[minus], p=block[minus].p + 0.015)
-        perturbed = dataclasses.replace(animal_table, apb=tuple(block))
+        for i, shift in ((plus, -0.015), (minus, 0.015)):
+            o = block[i]
+            block[i] = CoincidenceOutcome(o.first, o.second, o.sign, o.p + shift)
+        t = animal_table
+        perturbed = CoincidenceTable(t.ab, t.abp, tuple(block), t.apbp)
         report = verify_reference_model(animal_model, perturbed)
         assert not report.all_passed
         assert report.check("expectation[AB]").passed

@@ -2,7 +2,9 @@
 
 Lazily loaded modules sit in ``sys.modules`` before they run, as instances
 of a ``types.ModuleType`` subclass; a module counts as executed once its
-type is ``types.ModuleType`` itself.  Every probe runs in a fresh process.
+type is ``types.ModuleType`` itself.  Every probe runs in a fresh process
+under ``python -S``, so no ``.pth`` file preloads a module, and reports the
+slow standard-library modules it loaded beside the qcm modules it executed.
 """
 
 from __future__ import annotations
@@ -17,16 +19,20 @@ from conftest import REPO_ROOT, child_env
 
 import qcm
 
+# costly to import (``dataclasses`` imports ``inspect``), and qcm needs none of them
+_SLOW_STDLIB = ("dataclasses", "inspect", "typing")
+
 _EXECUTED = (
     "import json, sys, types\n"
     "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
-    "    if name.split('.')[0] == 'qcm' and type(module) is types.ModuleType)))\n"
+    "    if name.split('.')[0] == 'qcm' and type(module) is types.ModuleType\n"
+    f"    or name in {_SLOW_STDLIB!r})))\n"
 )
 
 
 def _probe(code: str) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=child_env(), cwd=REPO_ROOT,
     )
     assert done.returncode == 0, done.stderr
