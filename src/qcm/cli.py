@@ -599,12 +599,15 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                 keys = [flags[arg] for arg in unknown]
                 raise UsageError(f"{_PROG}: error: {command} has no flag for keys {keys}")
             payload, charts = _COMMANDS[command][0](sub_args, plot)
-        except QcmError as exc:  # name the run, after the "PROG: error: " of a usage error
+        except (QcmError, OSError) as exc:  # name the run, after a usage error's "PROG: error: "
             prefix, message = "", str(exc)
             if isinstance(exc, UsageError):
                 head, sep, message = message.partition(": error: ")
                 prefix = head + sep
-            exc.args = (f"{prefix}manifest run {index}: {message}",)
+            message = f"{prefix}manifest run {index}: {message}"
+            if isinstance(exc, OSError):  # whose str ignores args once errno is set
+                raise OSError(message) from exc
+            exc.args = (message,)
             raise
         run_payloads.append({"name": name, "command": command, "report": payload})
         all_charts.extend(charts)

@@ -9,12 +9,14 @@ instances between two states:
   ``pmf(n) = (n * p1 + (N - n) * (1 - p1)) / (N * (N + 1) / 2)``.
 
 ``pmf_vector`` gives either family's N+1 probabilities.  Fits minimize
-the residual sum of squares over p1 in [0, 1] with a deterministic
-golden-section search (16-start for the MB family, whose
-RSS need not be unimodal).  Each fit tabulates its dataset once (for MB,
-the N+1 binomial coefficients as floats), so an RSS evaluation does no
-big-integer work; its terms repeat ``pmf_vector``'s float operations in
-order, so the RSS matches one computed from ``pmf_vector`` bit for bit.
+the residual sum of squares over p1 in [0, 1].  The BE pmf is linear in
+p1, so its RSS is a parabola whose minimiser has a closed form, clipped
+to [0, 1].  The MB RSS need not be unimodal: its fit is a deterministic
+golden-section search from 16 brackets plus both endpoints, which is not
+proven global.  The MB fit tabulates the N+1 binomial coefficients as
+floats once, so an RSS evaluation does no big-integer work; its terms
+repeat ``pmf_vector``'s float operations in order, so every reported RSS
+matches one computed from ``pmf_vector`` bit for bit.
 
 Model comparison uses the Gaussian least-squares BIC
 ``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and nobs = N + 1.
@@ -118,70 +120,51 @@ def _bic(rss: float, nobs: int) -> float:
     return nobs * math.log(max(rss, _RSS_FLOOR) / nobs) + math.log(nobs)
 
 
-def _rss_evaluator(
-    family: str, big_n: int, observed: tuple[float, ...]
-) -> Callable[[float], float]:
-    """RSS against ``observed`` as a function of p1, tabulated once per dataset.
+def _rss_evaluator(big_n: int, observed: tuple[float, ...]) -> Callable[[float], float]:
+    """MB RSS against ``observed`` as a function of p1, tabulated once per dataset.
 
     Each term repeats ``pmf_vector``'s float operations in their order (an
     int times a float rounds the int to float first), and the terms add left
     to right, so every value equals ``_sum((p - o) ** 2 for p, o in
-    zip(pmf_vector(params), observed))`` bit for bit.  The loops are written
-    out because this is the fits' hot path, where a call per term costs 10-15%.
+    zip(pmf_vector(params), observed))`` bit for bit.  The loop is written
+    out because this is the MB fit's hot path, where a call per term costs 10-15%.
     """
-    if family == "MB":
-        rows = tuple(
-            (float(math.comb(big_n, n)), n, big_n - n, o) for n, o in enumerate(observed)
-        )
+    rows = tuple((float(math.comb(big_n, n)), n, big_n - n, o) for n, o in enumerate(observed))
 
-        def rss_at(p1: float) -> float:
-            q = 1.0 - p1
-            total = 0.0
-            for c, n, m, o in rows:
-                total += (c * p1**n * q**m - o) ** 2
-            return total
-
-    else:
-        scale = big_n * (big_n + 1) / 2
-        rows = tuple((n, big_n - n, o) for n, o in enumerate(observed))
-
-        def rss_at(p1: float) -> float:
-            q = 1.0 - p1
-            total = 0.0
-            for n, m, o in rows:
-                total += ((n * p1 + m * q) / scale - o) ** 2
-            return total
+    def rss_at(p1: float) -> float:
+        q = 1.0 - p1
+        total = 0.0
+        for c, n, m, o in rows:
+            total += (c * p1**n * q**m - o) ** 2
+        return total
 
     return rss_at
 
 
 def fit_distribution(data: CountDataset, family: str) -> DistFit:
-    """Least-squares fit of p1 for one family against observed frequencies."""
+    """Least-squares fit of p1 for one family against observed frequencies.
+
+    BE: with S = N(N+1)/2 the pmf is ((N - n) + p1 (2n - N)) / S, so setting
+    the RSS's derivative to zero gives p1 = 1/2 + 3 sum((2n - N) o_n) / (2(N + 2)),
+    clipped to [0, 1].  MB: the best of 16 bracketed golden-section searches
+    and the two endpoints.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected MB or BE)")
     observed = data.observed
     big_n = data.n_total
     nobs = big_n + 1
-    rss_at = _rss_evaluator(family, big_n, observed)
 
     if family == "BE":
-        # RSS is quadratic in p1: one golden-section pass suffices
-        best_p1 = golden_section_minimize(rss_at, 0.0, 1.0)
-        best = (rss_at(best_p1), best_p1)
+        moment = _sum((2 * n - big_n) * o for n, o in enumerate(observed))
+        p1 = min(max(0.5 + 3.0 * moment / (2 * (big_n + 2)), 0.0), 1.0)
+        pmf = pmf_vector(DistParams("BE", p1, big_n))
+        rss = _sum((p - o) ** 2 for p, o in zip(pmf, observed))
     else:
-        # MB RSS can be multimodal: bracketed multistart, deterministic order
-        best = None
-        for i in range(16):
-            lo, hi = i / 16.0, (i + 1) / 16.0
-            p1 = golden_section_minimize(rss_at, lo, hi)
-            candidate = (rss_at(p1), p1)
-            if best is None or candidate < best:
-                best = candidate
-    for endpoint in (0.0, 1.0):  # golden-section brackets never close on the ends
-        candidate = (rss_at(endpoint), endpoint)
-        if candidate < best:
-            best = candidate
-    rss, p1 = best
+        # MB RSS can be multimodal: bracketed multistart; brackets never close on the ends
+        rss_at = _rss_evaluator(big_n, observed)
+        starts = [golden_section_minimize(rss_at, i / 16.0, (i + 1) / 16.0) for i in range(16)]
+        rss, p1 = min((rss_at(p1), p1) for p1 in (*starts, 0.0, 1.0))
 
     mean = _sum(observed) / nobs
     tss = _sum((o - mean) ** 2 for o in observed)

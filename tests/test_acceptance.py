@@ -228,4 +228,4 @@ def test_headline_script_runs_outside_the_repo(tmp_path):
         assert done.returncode == 0, done.stderr
         section = done.stdout.split("== distribution statistics ==\n", 1)[1]
         assert "BE(N=11, p1=0.5): uniform = True" in section
-        assert "uniform data: winner BE (delta BIC = 542.7, p1 = 0.5000)" in section
+        assert "uniform data: winner BE (delta BIC = 8259.7, p1 = 0.5000)" in section

@@ -548,6 +548,20 @@ class TestReportManifest:
         assert captured.out == ""
         assert captured.err == f"qcm: error: manifest run 2: {message}\n"
 
+    def test_io_error_inside_a_run_names_the_run(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [
+            {"command": "classicality", "input": str(DATA_DIR / "goldfish.csv")},
+            {"command": "fock-fit", "input": "nonexist.csv"},
+        ]}))
+        assert main(["report", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qcm: i/o error: manifest run 2: [Errno 2] No such file or directory: "
+            f"{str(tmp_path / 'nonexist.csv')!r}\n"
+        )
+
     def test_run_confidence_reaches_the_report(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"runs": [

@@ -126,11 +126,12 @@ class TestFitDistribution:
         # uniform observations have zero variance, so R^2 is undefined
         assert mb.r2 is None
         assert mb.bic == pytest.approx(-56.93574317737722, abs=1e-6)
-        assert be.params.p1 == pytest.approx(0.5, abs=1e-6)
-        assert be.rss <= 1e-15
+        assert be.params.p1 == 0.5
+        assert be.rss == 0.0
         # zero-variance data fitted with zero residual: reported as perfect
         assert be.r2 == 1.0
-        assert be.bic == pytest.approx(-599.5894091960124, abs=1e-4)
+        # an exact fit takes its BIC from the RSS floor
+        assert be.bic == pytest.approx(-8316.640307926233, abs=1e-4)
 
     def test_planted_binomial_reference_numbers(self):
         planted = load_dataset("mb_exact_n9.json")
@@ -139,7 +140,7 @@ class TestFitDistribution:
         assert mb.params.p1 == pytest.approx(0.57, abs=1e-9)
         assert mb.rss <= 1e-15
         assert mb.r2 == pytest.approx(1.0, abs=1e-12)
-        assert be.params.p1 == pytest.approx(0.6718181922, abs=1e-6)
+        assert be.params.p1 == pytest.approx(0.6718181818, abs=1e-6)
         assert be.rss == pytest.approx(0.08261491955263364, abs=1e-9)
         assert be.r2 == pytest.approx(0.05502846430571873, abs=1e-6)
 
@@ -174,7 +175,7 @@ class TestCompareBic:
         result = compare_bic(
             fit_distribution(uniform, "MB"), fit_distribution(uniform, "BE")
         )
-        assert result.delta_bic == pytest.approx(542.65366, abs=1e-3)
+        assert result.delta_bic == pytest.approx(8259.70456, abs=1e-3)
         assert result.winner == "BE"
         assert result.strength == "strong"
         planted = load_dataset("mb_exact_n9.json")
@@ -333,6 +334,43 @@ def test_fit_rss_is_bit_identical_to_pmf_vector(family, weights):
     fit = fit_distribution(dataset, family)
     pmf = pmf_vector(fit.params)
     assert fit.rss == _sum((p - o) ** 2 for p, o in zip(pmf, dataset.observed))
+
+
+def exact_be_minimiser(observed):
+    """The BE p1 of least RSS on [0, 1], in exact arithmetic from the float observations."""
+    big_n = len(observed) - 1
+    scale = Fraction(big_n * (big_n + 1), 2)
+    base = [Fraction(big_n - n) / scale for n in range(big_n + 1)]
+    slope = [Fraction(2 * n - big_n) / scale for n in range(big_n + 1)]
+    # the RSS is a parabola in p1: its normal equation, then the clip to [0, 1]
+    numerator = sum(d * (Fraction(o) - c) for c, d, o in zip(base, slope, observed))
+    p1 = numerator / sum(d * d for d in slope)
+    return min(max(p1, Fraction(0)), Fraction(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.integers(min_value=1, max_value=300).flatmap(
+        lambda n_total: st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=n_total + 1, max_size=n_total + 1
+        )
+    ).filter(lambda ws: sum(ws) > 0.0),
+)
+def test_be_fit_is_the_exact_minimiser(weights):
+    total = sum(weights)
+    observed = tuple(w / total for w in weights)
+    dataset = CountDataset(category="drawn", n_total=len(observed) - 1, observed=observed)
+    p1 = fit_distribution(dataset, "BE").params.p1
+    assert abs(Fraction(p1) - exact_be_minimiser(observed)) <= 2e-15
+
+
+@pytest.mark.parametrize("n_total", [1, 2, 11, 300])
+@pytest.mark.parametrize("at, p1", [(0, 0.0), (-1, 1.0)], ids=["n=0", "n=N"])
+def test_be_fit_clips_to_the_end_holding_all_mass(n_total, at, p1):
+    observed = [0.0] * (n_total + 1)
+    observed[at] = 1.0
+    dataset = CountDataset(category="edge", n_total=n_total, observed=tuple(observed))
+    assert fit_distribution(dataset, "BE").params.p1 == p1
 
 
 @settings(max_examples=80, deadline=None)
