@@ -11,8 +11,10 @@ instances between two states:
 ``pmf_vector`` gives either family's N+1 probabilities.  Fits minimize
 the residual sum of squares over p1 in [0, 1].  The BE pmf is linear in
 p1, so its RSS is a parabola whose minimiser has a closed form, clipped
-to [0, 1].  The MB RSS need not be unimodal: its fit is a deterministic
-golden-section search from 16 brackets plus both endpoints, which is not
+to [0, 1].  The MB RSS need not be unimodal, and its features narrow like
+1/sqrt(N): its fit tabulates the RSS on 16 * ceil(sqrt(N) / 4) equal cells
+of [0, 1], refines each grid point no higher than its neighbours by Brent's
+method, and keeps the least point found.  That is deterministic but not
 proven global.  The MB fit tabulates the N+1 binomial coefficients as
 floats once, so an RSS evaluation does no big-integer work; its terms
 repeat ``pmf_vector``'s float operations in order, so every reported RSS
@@ -37,8 +39,10 @@ from collections.abc import Callable, Sequence
 from .data import CountDataset, Record, _check_unit_interval, _sum
 from .errors import DataValidationError, InsufficientDataError
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
+# absolute p1 tolerance of the MB fit's Brent searches, small enough for an exact
+# fit to reach its RSS's float floor (~1e-27; a 1e-12 tolerance can stop at ~1e-24)
+_P1_TOL = 1e-14
 
 # guard: exact fits give RSS = 0; floor keeps ln finite and JSON-safe
 _RSS_FLOOR = 1e-300
@@ -49,25 +53,54 @@ R2_MARGIN = 0.01
 FAMILIES = ("MB", "BE")
 
 
-def golden_section_minimize(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Argmin of a unimodal f on [lo, hi], lo < hi, to within a bracket of size 1e-9."""
-    h = hi - lo
-    steps = int(math.ceil(math.log(1e-9 / h) / math.log(_INV_PHI)))
-    c = lo + _INV_PHI2 * h
-    d = lo + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h *= _INV_PHI
-            c = lo + _INV_PHI2 * h
-            fc = f(c)
+def brent_minimize(
+    f: Callable[[float], float], lo: float, hi: float, x: float, fx: float
+) -> tuple[float, float]:
+    """A local minimum of f on [lo, hi] by Brent's method, as ``(f(x), x)``.
+
+    Starts from x in [lo, hi] with fx = f(x), and steps to the vertex of the
+    parabola through the three best points, or by golden section where that
+    vertex is not trusted (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5).  Stops once the bracket [a, b] around the
+    best point x has max(x - a, b - x) <= 2 * _P1_TOL, so a local minimiser
+    lies within 2e-14 of x.  f is never evaluated outside [lo, hi].
+    """
+    tol = _P1_TOL
+    a, b = lo, hi
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return fx, x
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            # the vertex is inside the bracket, and the step is under half the one before last
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
         else:
-            lo, c, fc = c, d, fd
-            h *= _INV_PHI
-            d = lo + _INV_PHI * h
-            fd = f(d)
-    return (lo + hi) / 2.0
+            e = (a if x >= m else b) - x
+            d = _GOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 class DistParams(Record):
@@ -146,8 +179,10 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
 
     BE: with S = N(N+1)/2 the pmf is ((N - n) + p1 (2n - N)) / S, so setting
     the RSS's derivative to zero gives p1 = 1/2 + 3 sum((2n - N) o_n) / (2(N + 2)),
-    clipped to [0, 1].  MB: the best of 16 bracketed golden-section searches
-    and the two endpoints.
+    clipped to [0, 1].  MB: the least ``(rss, p1)`` over a grid of
+    16 * ceil(sqrt(N) / 4) equal cells, endpoints included, and a Brent search
+    to 1e-14 from each grid point no higher than its neighbours, over the
+    cells beside it.  Not proven global.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected MB or BE)")
@@ -161,10 +196,16 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
         pmf = pmf_vector(DistParams("BE", p1, big_n))
         rss = _sum((p - o) ** 2 for p, o in zip(pmf, observed))
     else:
-        # MB RSS can be multimodal: bracketed multistart; brackets never close on the ends
+        # the RSS's features narrow like 1/sqrt(N): grid spacing <= 1/(4 sqrt(N))
         rss_at = _rss_evaluator(big_n, observed)
-        starts = [golden_section_minimize(rss_at, i / 16.0, (i + 1) / 16.0) for i in range(16)]
-        rss, p1 = min((rss_at(p1), p1) for p1 in (*starts, 0.0, 1.0))
+        cells = 16 * math.ceil(math.sqrt(big_n) / 4.0)
+        grid = [(rss_at(i / cells), i / cells) for i in range(cells + 1)]
+        refined = []
+        for i, (rss, p1) in enumerate(grid):
+            left, right = grid[max(i - 1, 0)], grid[min(i + 1, cells)]
+            if rss <= left[0] and rss <= right[0]:
+                refined.append(brent_minimize(rss_at, left[1], right[1], p1, rss))
+        rss, p1 = min(grid + refined)
 
     mean = _sum(observed) / nobs
     tss = _sum((o - mean) ** 2 for o in observed)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import ast
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, REPO_ROOT, child_env
@@ -26,8 +27,9 @@ from qcm import (
     parse_count_datasets,
     pmf_vector,
 )
+from qcm import stats
 from qcm.data import _sum
-from qcm.stats import _t_quantile, golden_section_minimize
+from qcm.stats import _t_quantile, brent_minimize
 
 
 def load_dataset(name):
@@ -93,14 +95,48 @@ class TestPmfVector:
         assert all(v >= 0.0 for v in vector)
 
 
-class TestGoldenSection:
-    def test_parabola_minimum(self):
-        x = golden_section_minimize(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-8)
+class TestBrentMinimize:
+    @staticmethod
+    def run(f, lo, hi, x):
+        """brent_minimize from x, with every point it evaluates."""
+        seen = []
 
-    def test_edge_minimum(self):
-        x = golden_section_minimize(lambda t: t, 0.0, 1.0)
-        assert x == pytest.approx(0.0, abs=1e-8)
+        def logged(t):
+            seen.append(t)
+            return f(t)
+
+        fx, x = brent_minimize(logged, lo, hi, x, f(x))
+        assert fx == f(x)
+        return x, seen
+
+    def test_parabola_minimum(self):
+        x, _ = self.run(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 0.5)
+        assert abs(x - 0.3) <= 2e-14
+
+    @pytest.mark.parametrize("start", ["lo", "hi"])
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["min-at-lo", "min-at-hi"])
+    def test_edge_minimum(self, slope, start):
+        lo, hi = 0.25, 0.375
+        x, _ = self.run(lambda t: slope * t, lo, hi, lo if start == "lo" else hi)
+        # the stopping rule leaves the minimiser within 2 tol of x
+        assert abs(x - (lo if slope > 0.0 else hi)) <= 2e-14
+
+    @pytest.mark.parametrize("f", [
+        lambda t: (t - 0.3) ** 2,
+        lambda t: t,
+        lambda t: -t,
+        lambda t: math.cos(40.0 * t),
+        lambda t: abs(t - 0.1),
+    ], ids=["parabola", "rising", "falling", "cosine", "kink"])
+    @pytest.mark.parametrize("start", [0.0, 0.05, 0.2])
+    def test_never_evaluates_outside_the_bracket(self, f, start):
+        _, seen = self.run(f, 0.0, 0.2, start)
+        assert seen and all(0.0 <= t <= 0.2 for t in seen)
+
+    def test_constant_function_terminates(self):
+        x, seen = self.run(lambda t: 1.0, 0.0, 1.0, 0.5)
+        assert 0.0 <= x <= 1.0
+        assert len(seen) <= 100
 
 
 class TestFitDistribution:
@@ -334,6 +370,118 @@ def test_fit_rss_is_bit_identical_to_pmf_vector(family, weights):
     fit = fit_distribution(dataset, family)
     pmf = pmf_vector(fit.params)
     assert fit.rss == _sum((p - o) ** 2 for p, o in zip(pmf, dataset.observed))
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def bracketed_multistart_fit(observed):
+    """Oracle for the MB fit: the least (rss, p1) of 16 golden-section searches and both ends.
+
+    Each search narrows one bracket [i/16, (i+1)/16] to 1e-9, so it finds a
+    minimum only where its bracket holds one; the fit must never lose to it.
+    """
+    rss_at = stats._rss_evaluator(len(observed) - 1, observed)
+
+    def golden_section(lo, hi):
+        h = hi - lo
+        c, d = lo + _INV_PHI2 * h, lo + _INV_PHI * h
+        fc, fd = rss_at(c), rss_at(d)
+        for _ in range(math.ceil(math.log(1e-9 / h) / math.log(_INV_PHI))):
+            h *= _INV_PHI
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = lo + _INV_PHI2 * h
+                fc = rss_at(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + _INV_PHI * h
+                fd = rss_at(d)
+        return (lo + hi) / 2.0
+
+    starts = [golden_section(i / 16.0, (i + 1) / 16.0) for i in range(16)]
+    return min((rss_at(p1), p1) for p1 in (*starts, 0.0, 1.0))
+
+
+def binomial_mixture(n_total, weight, a, b, noise=()):
+    """Normalised weight * Bin(N, a) + (1 - weight) * Bin(N, b), each term times (1 + noise)."""
+    first = pmf_vector(DistParams(family="MB", p1=a, n_total=n_total))
+    second = pmf_vector(DistParams(family="MB", p1=b, n_total=n_total))
+    noise = noise or (0.0,) * (n_total + 1)
+    mix = [(weight * x + (1.0 - weight) * y) * (1.0 + z) for x, y, z in zip(first, second, noise)]
+    total = _sum(mix)
+    return CountDataset(category="mixture", n_total=n_total, observed=tuple(m / total for m in mix))
+
+
+@st.composite
+def mixtures(draw):
+    n_total = draw(st.integers(min_value=1, max_value=60))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    amplitude = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    noise = draw(st.lists(st.floats(min_value=-amplitude, max_value=amplitude),
+                          min_size=n_total + 1, max_size=n_total + 1))
+    return binomial_mixture(n_total, draw(unit), draw(unit), draw(unit), tuple(noise))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dataset=mixtures())
+# exact fits: a 1e-12 Brent tolerance stops at RSS 1.2e-24, where the multistart has 6.5e-25
+@example(dataset=binomial_mixture(24, 1.0, 0.2979344233126421, 0.2979344233126421))
+# the grid point 0.95 is the minimiser, with RSS 1.5e-32; two ulps from it the RSS is 2.2e-30
+@example(dataset=binomial_mixture(7, 1.0, 0.95, 0.95))
+def test_mb_fit_never_loses_to_the_multistart_or_a_fine_grid(dataset):
+    fit = fit_distribution(dataset, "MB")
+    rss_at = stats._rss_evaluator(dataset.n_total, dataset.observed)
+    oracle_rss, _ = bracketed_multistart_fit(dataset.observed)
+    assert fit.rss <= oracle_rss * (1.0 + 1e-12) + 1e-30
+    for i in range(1001):
+        p1 = i / 1000.0
+        # a grid point within the stopping rule's 2 * _P1_TOL of the fit is the same minimum
+        near = abs(fit.params.p1 - p1) <= 2.0 * stats._P1_TOL
+        assert near or fit.rss <= rss_at(p1) * (1.0 + 1e-12) + 1e-30
+
+
+def test_mb_fit_finds_the_minimum_two_close_peaks_hide():
+    # two minima closer than 1/16 shared one bracket of the bracketed multistart
+    dataset = binomial_mixture(800, 0.5029426772934626, 0.8310678415317, 0.869177276716651)
+    fit = fit_distribution(dataset, "MB")
+    assert abs(fit.params.p1 - 0.861216) <= 1e-6
+    assert fit.rss <= 0.0113958570
+
+
+def count_rss_evaluations(monkeypatch):
+    calls = []
+    evaluator = stats._rss_evaluator
+
+    def counting(*args):
+        rss_at = evaluator(*args)
+
+        def counted(p1):
+            calls.append(p1)
+            return rss_at(p1)
+
+        return counted
+
+    monkeypatch.setattr(stats, "_rss_evaluator", counting)
+    return calls
+
+
+def seeded_mixture(n_total, seed):
+    rng = random.Random(seed)
+    return binomial_mixture(n_total, rng.random(), rng.random(), rng.random())
+
+
+@pytest.mark.parametrize("dataset, budget", [
+    (lambda: load_dataset("uniform11.json"), 80),
+    (lambda: seeded_mixture(300, seed=300), 200),
+], ids=["uniform11", "mixture-N300"])
+def test_mb_fit_evaluation_budget(monkeypatch, dataset, budget):
+    # counts, not timings: a search that regresses to hundreds of O(N) calls fails here
+    data = dataset()
+    calls = count_rss_evaluations(monkeypatch)
+    fit_distribution(data, "MB")
+    assert 0 < len(calls) <= budget
 
 
 def exact_be_minimiser(observed):
