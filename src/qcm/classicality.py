@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .data import MembershipRecord, Record, _check_unit_interval
-from .errors import DataValidationError, InsufficientDataError
+from .data import MembershipRecord, Record, _check_range
+from .errors import InsufficientDataError
 from .stats import RegressionResult, linear_regression
 
 DEFAULT_TOLERANCE = 1e-9
@@ -49,9 +49,9 @@ def check_conjunction(
     min_rule = mu(A and B) - min(mu(A), mu(B));
     kolmogorov = mu(A) + mu(B) - mu(A and B) - 1.
     """
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
-    mu_a_and_b = _check_unit_interval(mu_a_and_b, "muAandB")
+    mu_a = _check_range(mu_a, "muA")
+    mu_b = _check_range(mu_b, "muB")
+    mu_a_and_b = _check_range(mu_a_and_b, "muAandB")
     residuals = {
         "min_rule": mu_a_and_b - min(mu_a, mu_b),
         "kolmogorov": mu_a + mu_b - mu_a_and_b - 1.0,
@@ -68,9 +68,9 @@ def check_disjunction(
     max_rule = max(mu(A), mu(B)) - mu(A or B);
     kolmogorov = -(mu(A) + mu(B) - mu(A or B)).
     """
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
-    mu_a_or_b = _check_unit_interval(mu_a_or_b, "muAorB")
+    mu_a = _check_range(mu_a, "muA")
+    mu_b = _check_range(mu_b, "muB")
+    mu_a_or_b = _check_range(mu_a_or_b, "muAorB")
     residuals = {
         "max_rule": max(mu_a, mu_b) - mu_a_or_b,
         "kolmogorov": -(mu_a + mu_b - mu_a_or_b),
@@ -117,13 +117,10 @@ class DeviationProfile(Record):
     i_total: float
 
     def __post_init__(self):
-        eps = 1e-12
-        for name in ("i_a", "i_b", "i_ap", "i_bp"):
-            value = getattr(self, name)
-            if not -2.0 - eps <= value <= 1.0 + eps:  # arithmetic bound for [0,1] inputs
-                raise DataValidationError(f"{name}={value!r} outside [-2, 1]")
-        if not -3.0 - eps <= self.i_total <= 1.0 + eps:
-            raise DataValidationError(f"i_total={self.i_total!r} outside [-3, 1]")
+        for name in ("i_a", "i_b", "i_ap", "i_bp", "i_total"):  # bounds for [0, 1] inputs
+            lo = (-3.0 if name == "i_total" else -2.0) - 1e-12
+            value = _check_range(getattr(self, name), name, lo, 1.0 + 1e-12)
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict[str, float]:
         return {

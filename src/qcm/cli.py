@@ -678,8 +678,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="combined run over a manifest")
     p.add_argument("--manifest", required=True, help="manifest path or -")
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--plot", default=None, metavar="SVG_PATH")
+    common(p)
 
     return parser
 

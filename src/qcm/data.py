@@ -11,8 +11,9 @@ Three dataset shapes are supported:
 
 All types are ``Record`` subclasses, immutable after construction and
 fully validated in ``__post_init__``, which holds each field's one
-validator; parsers take the input as ``str`` and either return validated
-values or raise a ``QcmError`` subclass.
+validator.  Every bounded number, here and in qcm's other records, goes
+through the one range check, ``_check_range``.  Parsers take the input as
+``str`` and either return validated values or raise a ``QcmError`` subclass.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
 
@@ -116,11 +117,12 @@ def _to_float(value, label: str) -> float:
     raise DataValidationError(f"{label}={value!r:.40} is not a number")
 
 
-def _check_unit_interval(value: float, label: str) -> float:
-    """The one range check for weights and probabilities: a finite float in [0, 1]."""
+def _check_range(value, label: str, lo: float = 0.0, hi: float = 1.0) -> float:
+    """The one range check for every bounded number in qcm: ``_to_float``'s
+    policy, then a finite value in ``[lo, hi]``, inclusive; a bound may be infinite."""
     value = _to_float(value, label)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise DataValidationError(f"{label}={value!r} outside [0, 1]")
+    if not math.isfinite(value) or not lo <= value <= hi:
+        raise DataValidationError(f"{label}={value!r} outside [{lo:g}, {hi:g}]")
     return value
 
 
@@ -221,7 +223,7 @@ class MembershipRecord(Record):
             if value is None or column in _TEXT_COLUMNS:
                 continue
             try:
-                value = _check_unit_interval(value, column)
+                value = _check_range(value, column)
             except DataValidationError as exc:
                 raise DataValidationError(f"exemplar {self.exemplar!r}: {exc}") from None
             object.__setattr__(self, attr, value)
@@ -357,7 +359,7 @@ class CoincidenceOutcome(Record):
                 f"+1 or -1, got {self.sign!r:.40}"
             )
         object.__setattr__(
-            self, "p", _check_unit_interval(self.p, f"p({self.first},{self.second})")
+            self, "p", _check_range(self.p, f"p({self.first},{self.second})")
         )
 
 
@@ -453,7 +455,7 @@ class CountDataset(Record):
                 f"dataset {self.category!r}: N must be an integer >= 1, got {self.n_total!r}"
             )
         observed = tuple(
-            _to_float(v, f"dataset {self.category!r}: observed[{n}]")
+            _check_range(v, f"dataset {self.category!r}: observed[{n}]", 0.0, math.inf)
             for n, v in enumerate(self.observed)
         )
         object.__setattr__(self, "observed", observed)
@@ -468,11 +470,6 @@ class CountDataset(Record):
                 f"dataset {self.category!r}: expected {self.n_total + 1} frequencies, "
                 f"got {len(observed)}"
             )
-        for n, value in enumerate(observed):
-            if not math.isfinite(value) or value < 0.0:
-                raise DataValidationError(
-                    f"dataset {self.category!r}: observed[{n}]={value!r} negative or not finite"
-                )
         total = _sum(observed)
         if abs(total - 1.0) > self.SUM_TOLERANCE:
             raise DataValidationError(

@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .data import (
-    BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, Record, _check_unit_interval, _sum,
-)
+from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, Record, _check_range, _sum
 from .errors import DataValidationError
 
 FIT_TOLERANCE = 1e-9
@@ -44,8 +42,8 @@ def interference_magnitude(mu_x: float, mu_y: float) -> float:
     sqrt(1-mu_x) * sqrt(1-mu_y) when mu_x + mu_y > 1, else
     sqrt(mu_x) * sqrt(mu_y).
     """
-    mu_x = _check_unit_interval(mu_x, "muX")
-    mu_y = _check_unit_interval(mu_y, "muY")
+    mu_x = _check_range(mu_x, "muX")
+    mu_y = _check_range(mu_y, "muY")
     if mu_x + mu_y > 1.0:
         return math.sqrt((1.0 - mu_x) * (1.0 - mu_y))
     return math.sqrt(mu_x * mu_y)
@@ -60,26 +58,22 @@ class FockParams(Record):
     connective: str
 
     def __post_init__(self):
-        for name in ("m2", "n2"):
-            object.__setattr__(self, name, _check_unit_interval(getattr(self, name), name))
+        for name, lo, hi in (
+            ("m2", 0.0, 1.0), ("n2", 0.0, 1.0), ("theta_rad", -_EPS, math.pi + _EPS)
+        ):
+            object.__setattr__(self, name, _check_range(getattr(self, name), name, lo, hi))
         if abs(self.m2 + self.n2 - 1.0) > 1e-9:
             raise DataValidationError(
                 f"sector weights must sum to 1: m2={self.m2!r}, n2={self.n2!r}"
-            )
-        if not -_EPS <= self.theta_rad <= math.pi + _EPS:
-            raise DataValidationError(
-                f"theta={math.degrees(self.theta_rad)!r} deg outside [0, 180]"
             )
         if self.connective not in ("and", "or"):
             raise DataValidationError(f"connective must be 'and' or 'or', got {self.connective!r}")
 
     @classmethod
-    def from_degrees(
-        cls, m2: float, theta_deg: float, connective: str, n2: float | None = None
-    ) -> "FockParams":
+    def from_degrees(cls, m2: float, theta_deg: float, connective: str) -> "FockParams":
         return cls(
             m2=m2,
-            n2=1.0 - m2 if n2 is None else n2,
+            n2=1.0 - m2,
             theta_rad=math.radians(theta_deg),
             connective=connective,
         )
@@ -112,8 +106,8 @@ def eval_two_sector(mu_a: float, mu_b: float, params: FockParams) -> Prediction:
     The logical value is mu_a mu_b for ``params.connective`` 'and' and
     mu_a + mu_b - mu_a mu_b for 'or'.
     """
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
+    mu_a = _check_range(mu_a, "muA")
+    mu_b = _check_range(mu_b, "muB")
     sector1 = (mu_a + mu_b) / 2.0 + interference_magnitude(mu_a, mu_b) * math.cos(
         params.theta_rad
     )
@@ -138,19 +132,14 @@ class PairParams(Record):
             ("n2", 0.0, 1.0),
             ("alpha", 0.0, 1.0),
             ("beta", -1.0, 1.0),
+            ("phi_rad", 0.0, math.pi),
         ):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not lo - _EPS <= value <= hi + _EPS:
-                raise DataValidationError(f"{name}={value!r} outside [{lo}, {hi}]")
+            value = _check_range(getattr(self, name), name, lo - _EPS, hi + _EPS)
             object.__setattr__(self, name, value)
         if abs(self.m2 + self.n2 - 1.0) > self.WEIGHT_SUM_TOLERANCE:
             raise DataValidationError(
                 f"pair weights m2+n2={self.m2 + self.n2!r} not within "
                 f"{self.WEIGHT_SUM_TOLERANCE} of 1"
-            )
-        if not -_EPS <= self.phi_rad <= math.pi + _EPS:
-            raise DataValidationError(
-                f"phi={math.degrees(self.phi_rad)!r} deg outside [0, 180]"
             )
 
     @property
@@ -192,8 +181,8 @@ def eval_general(
     ``mu_x, mu_y`` must be the marginals matching ``which`` (for ApB pass
     mu(A'), mu(B)).
     """
-    mu_x = _check_unit_interval(mu_x, "muX")
-    mu_y = _check_unit_interval(mu_y, "muY")
+    mu_x = _check_range(mu_x, "muX")
+    mu_y = _check_range(mu_y, "muY")
     pair = params.pair(which)
     sector1 = (mu_x + mu_y) / 2.0 + pair.beta * math.cos(pair.phi_rad)
     return _flagged(pair.m2 * pair.alpha + pair.n2 * sector1)
@@ -267,9 +256,9 @@ def fit_two_sector(
     (attribute as little to interference as possible).  ``min-m2``:
     smallest sector-2 weight, ties broken by smallest |cos theta|.
     """
-    mu_a = _check_unit_interval(mu_a, "muA")
-    mu_b = _check_unit_interval(mu_b, "muB")
-    target = _check_unit_interval(target, "target")
+    mu_a = _check_range(mu_a, "muA")
+    mu_b = _check_range(mu_b, "muB")
+    target = _check_range(target, "target")
     if connective not in ("and", "or"):
         raise ValueError(f"connective must be 'and' or 'or', got {connective!r}")
     if policy not in FIT_POLICIES:

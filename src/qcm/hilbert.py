@@ -31,7 +31,7 @@ import numbers
 from collections.abc import Mapping, Sequence
 
 from .data import (
-    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, Record, _load_json, _object, _sum, _to_float,
+    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, Record, _check_range, _load_json, _object, _sum,
 )
 from .errors import DataValidationError, SchemaError
 
@@ -234,14 +234,9 @@ class ChshReport(Record):
 
     def __post_init__(self):
         # a block may sum to 1 + BLOCK_SUM_TOLERANCE, and so may |E|
-        bound = 1.0 + BLOCK_SUM_TOLERANCE
-        eps = 1e-9
-        for name in ("e_ab", "e_abp", "e_apb", "e_apbp"):
-            value = getattr(self, name)
-            if not -bound - eps <= value <= bound + eps:
-                raise DataValidationError(f"{name}={value!r} outside [-{bound}, {bound}]")
-        if not -4.0 * bound - eps <= self.chsh <= 4.0 * bound + eps:
-            raise DataValidationError(f"chsh={self.chsh!r} outside [-{4 * bound}, {4 * bound}]")
+        for name in ("e_ab", "e_abp", "e_apb", "e_apbp", "chsh"):
+            bound = (4.0 if name == "chsh" else 1.0) * (1.0 + BLOCK_SUM_TOLERANCE) + 1e-9
+            object.__setattr__(self, name, _check_range(getattr(self, name), name, -bound, bound))
 
     def expectations(self) -> dict[str, float]:
         return dict(zip(BLOCKS, (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)))
@@ -410,27 +405,20 @@ class HilbertModel(Record, eq=False):
 _MAX_MODEL_NUMBER = 1e6
 
 
-def _model_number(value, context: str) -> float:
-    number = _to_float(value, context)
-    if not abs(number) <= _MAX_MODEL_NUMBER:  # also false for NaN
-        raise DataValidationError(
-            f"{context}: {number!r} is not a finite number within +-{_MAX_MODEL_NUMBER:g}"
-        )
-    return number
-
-
 def _parse_complex(value, context: str) -> complex:
+    lo, hi = -_MAX_MODEL_NUMBER, _MAX_MODEL_NUMBER
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_model_number(value, context), 0.0)
+        return complex(_check_range(value, context, lo, hi), 0.0)
     if isinstance(value, dict):
         if "re" in value or "im" in value:
             _object(value, context, ("re", "im"))
             return complex(
-                _model_number(value["re"], context), _model_number(value["im"], context)
+                _check_range(value["re"], context, lo, hi),
+                _check_range(value["im"], context, lo, hi),
             )
         _object(value, context, ("mod", "argDeg"))
-        arg = math.radians(_model_number(value["argDeg"], context))
-        mod = _model_number(value["mod"], context)
+        arg = math.radians(_check_range(value["argDeg"], context, lo, hi))
+        mod = _check_range(value["mod"], context, lo, hi)
         return complex(mod * math.cos(arg), mod * math.sin(arg))
     raise SchemaError(
         f"{context}: complex numbers must be a number, {{re, im}}, or {{mod, argDeg}}"

@@ -36,7 +36,7 @@ import math
 import struct
 from collections.abc import Callable, Sequence
 
-from .data import CountDataset, Record, _check_unit_interval, _sum
+from .data import CountDataset, Record, _check_range, _sum
 from .errors import DataValidationError, InsufficientDataError
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
@@ -115,7 +115,7 @@ class DistParams(Record):
             raise DataValidationError(f"unknown family {self.family!r} (expected MB or BE)")
         if not isinstance(self.n_total, int) or isinstance(self.n_total, bool) or self.n_total < 1:
             raise DataValidationError(f"N must be an integer >= 1, got {self.n_total!r}")
-        object.__setattr__(self, "p1", _check_unit_interval(self.p1, "p1"))
+        object.__setattr__(self, "p1", _check_range(self.p1, "p1"))
 
 
 def pmf_vector(params: DistParams) -> tuple[float, ...]:
@@ -143,10 +143,9 @@ class DistFit(Record):
     dataset: str | None = None
 
     def __post_init__(self):
-        if self.rss < 0.0:
-            raise DataValidationError(f"rss={self.rss!r} negative")
-        if self.r2 is not None and self.r2 > 1.0 + 1e-12:
-            raise DataValidationError(f"r2={self.r2!r} exceeds 1")
+        object.__setattr__(self, "rss", _check_range(self.rss, "rss", 0.0, math.inf))
+        if self.r2 is not None:
+            object.__setattr__(self, "r2", _check_range(self.r2, "r2", -math.inf, 1.0 + 1e-12))
 
 
 def _bic(rss: float, nobs: int) -> float:
@@ -286,8 +285,7 @@ class RegressionResult(Record):
     n: int
 
     def __post_init__(self):
-        if self.r2 > 1.0 + 1e-12:
-            raise DataValidationError(f"r2={self.r2!r} exceeds 1")
+        object.__setattr__(self, "r2", _check_range(self.r2, "r2", -math.inf, 1.0 + 1e-12))
         if not self.ci_low <= self.mean <= self.ci_high:
             raise DataValidationError("confidence interval does not bracket the mean")
 

@@ -13,16 +13,24 @@ from conftest import DATA_DIR
 from qcm import (
     BLOCKS,
     MEMBERSHIP_COLUMNS,
+    ChshReport,
     CoincidenceOutcome,
     CoincidenceTable,
     CountDataset,
     DataValidationError,
+    DeviationProfile,
+    DistFit,
+    DistParams,
+    FockParams,
     IncompleteRecordError,
     MembershipRecord,
+    PairParams,
+    RegressionResult,
     SchemaError,
     parse_coincidence,
     parse_count_datasets,
     parse_membership_table,
+    parse_model,
 )
 
 
@@ -308,3 +316,79 @@ def test_membership_round_trip_property(weights, or_present):
     csv_text = ",".join(fields) + "\n" + ",".join(map(str, fields.values())) + "\n"
     assert parse_membership_table(csv_text) == [record]
     assert parse_membership_table(json.dumps([fields])) == [record]
+
+
+def _ranged_fields() -> list:
+    """(id, label, build) for every number checked by ``data._check_range`` in a
+    record or a model file: ``build(value)`` puts ``value`` in that one place of
+    an otherwise valid input, and a bad value's error starts with ``label=``."""
+    def fields(cls, valid: dict, *names: str) -> list:
+        return [
+            (f"{cls.__name__}.{name}", name, lambda v, name=name: cls(**{**valid, name: v}))
+            for name in names
+        ]
+
+    weights = {
+        "mu_a": 0.5, "mu_b": 0.5, "mu_ap": 0.5, "mu_bp": 0.5, "mu_a_and_b": 0.25,
+        "mu_a_and_bp": 0.25, "mu_ap_and_b": 0.25, "mu_ap_and_bp": 0.25, "mu_a_or_b": 0.75,
+    }
+    columns = dict(zip(weights, MEMBERSHIP_COLUMNS[3:]))  # mu_a -> muA, ..., mu_a_or_b -> muAorB
+    pair = {"m2": 0.5, "n2": 0.5, "alpha": 0.25, "beta": 0.0, "phi_rad": 1.0}
+    deviations = dict.fromkeys(("i_a", "i_b", "i_ap", "i_bp", "i_total"), 0.0)
+    chsh = {
+        **dict.fromkeys(("e_ab", "e_abp", "e_apb", "e_apbp"), 0.5), "chsh": 1.0,
+        "classical_violated": False, "tsirelson_respected": True,
+    }
+    fit = {"params": DistParams("MB", 0.5, 2), "rss": 0.01, "r2": 0.5, "bic": -9.0}
+    model = json.loads((DATA_DIR / "animal_acts_model.json").read_text(encoding="utf-8"))
+
+    def state0(entry):
+        return lambda value: parse_model(
+            json.dumps({**model, "state": [entry(value), *model["state"][1:]]})
+        )
+
+    return [
+        *(
+            (f"MembershipRecord.{attr}", f"exemplar 'x': {columns[attr]}",
+             lambda value, attr=attr: MembershipRecord("x", **{**weights, attr: value}))
+            for attr in weights
+        ),
+        ("CoincidenceOutcome.p", "p(a,b)", lambda value: CoincidenceOutcome("a", "b", 1, value)),
+        ("CountDataset.observed", "dataset 'c': observed[1]",
+         lambda value: CountDataset("c", 2, (0.25, value, 0.25))),
+        ("DistParams.p1", "p1", lambda value: DistParams("MB", value, 2)),
+        *fields(FockParams, {"m2": 0.5, "n2": 0.5, "theta_rad": 1.0, "connective": "and"},
+                "m2", "n2", "theta_rad"),
+        *fields(PairParams, pair, *pair),
+        *fields(DeviationProfile, deviations, *deviations),
+        *fields(ChshReport, chsh, "e_ab", "e_abp", "e_apb", "e_apbp", "chsh"),
+        *fields(DistFit, fit, "rss", "r2"),
+        ("RegressionResult.r2", "r2",
+         lambda value: RegressionResult(0.0, 0.5, value, 0.5, 0.4, 0.6, 3)),
+        ("model re", "state[0]", state0(lambda value: {"re": value, "im": 0})),
+        ("model im", "state[0]", state0(lambda value: {"re": 0, "im": value})),
+        ("model mod", "state[0]", state0(lambda value: {"mod": value, "argDeg": 0})),
+        ("model argDeg", "state[0]", state0(lambda value: {"mod": 1, "argDeg": value})),
+    ]
+
+
+RANGED_FIELDS = _ranged_fields()
+
+
+@pytest.mark.parametrize(
+    "label, build", [case[1:] for case in RANGED_FIELDS], ids=[case[0] for case in RANGED_FIELDS]
+)
+@pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf], ids=repr)
+def test_every_ranged_number_takes_the_one_number_and_range_rule(label, build, bad):
+    """A bool, a numeric string, NaN and infinity are each rejected with an
+    error naming the field, in every record and not only in the input layer."""
+    with pytest.raises(DataValidationError) as error:
+        build(bad)
+    assert str(error.value).startswith(f"{label}=")
+
+
+@pytest.mark.parametrize(
+    "build", [case[2] for case in RANGED_FIELDS], ids=[case[0] for case in RANGED_FIELDS]
+)
+def test_the_ranged_inputs_are_valid_before_the_substitution(build):
+    build(0.5)
