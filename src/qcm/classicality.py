@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .data import MembershipRecord, Record, _check_range
+from .data import MembershipRecord, Record, _check_positive, _check_range
 from .errors import InsufficientDataError
 from .stats import RegressionResult, linear_regression
 
@@ -40,6 +40,9 @@ class ClassicalityVerdict(Record):
     residuals: dict[str, float]
     tolerance: float = DEFAULT_TOLERANCE
 
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance", _check_positive(self.tolerance, "tolerance"))
+
 
 def check_conjunction(
     mu_a: float, mu_b: float, mu_a_and_b: float, tolerance: float = DEFAULT_TOLERANCE
@@ -49,6 +52,7 @@ def check_conjunction(
     min_rule = mu(A and B) - min(mu(A), mu(B));
     kolmogorov = mu(A) + mu(B) - mu(A and B) - 1.
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     mu_a = _check_range(mu_a, "muA")
     mu_b = _check_range(mu_b, "muB")
     mu_a_and_b = _check_range(mu_a_and_b, "muAandB")
@@ -68,6 +72,7 @@ def check_disjunction(
     max_rule = max(mu(A), mu(B)) - mu(A or B);
     kolmogorov = -(mu(A) + mu(B) - mu(A or B)).
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     mu_a = _check_range(mu_a, "muA")
     mu_b = _check_range(mu_b, "muB")
     mu_a_or_b = _check_range(mu_a_or_b, "muAorB")
@@ -93,6 +98,7 @@ def check_negation(
     When all five hold, the four conjunction weights are a classical joint
     distribution reproducing every marginal.
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     mu_a, mu_b, mu_ap, mu_bp, ab, abp, apb, apbp = record.require(
         "muA", "muB", "muAp", "muBp", "muAandB", "muAandBp", "muApandB", "muApandBp"
     )
@@ -159,6 +165,7 @@ def profile_statistics(
     The regression abscissa is the 1-based index of each profile in input
     order.  Requires at least 3 profiles.
     """
+    confidence = _check_positive(confidence, "confidence", 1.0)
     if len(profiles) < 3:
         raise InsufficientDataError(f"need at least 3 profiles, got {len(profiles)}")
     xs = [float(i) for i in range(1, len(profiles) + 1)]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -36,6 +35,7 @@ from collections.abc import Sequence
 from .data import (
     BLOCKS,
     FIT_POLICIES,
+    _check_positive,
     _load_json,
     _object,
     _sum,
@@ -73,9 +73,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _resolve_tolerance(value: float | None, default: float) -> float:
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise DataValidationError(f"--tolerance must be a finite number > 0, got {value!r}")
-    return default if value is None else value
+    return default if value is None else _check_positive(value, "--tolerance")
 
 
 def _input_name(path: str) -> str:
@@ -125,8 +123,7 @@ def _verdict_payload(verdict: cls.ClassicalityVerdict) -> dict:
 
 
 def _cmd_classicality(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
-    if not 0.0 < args.confidence < 1.0:  # also false for NaN
-        raise DataValidationError(f"--confidence must be in (0, 1), got {args.confidence!r}")
+    _check_positive(args.confidence, "--confidence", 1.0)
     tolerance = _resolve_tolerance(args.tolerance, cls.DEFAULT_TOLERANCE)
     records = parse_membership_table(_read_input(args.input))
     name = _input_name(args.input)

@@ -11,9 +11,9 @@ Three dataset shapes are supported:
 
 All types are ``Record`` subclasses, immutable after construction and
 fully validated in ``__post_init__``, which holds each field's one
-validator.  Every bounded number, here and in qcm's other records, goes
-through the one range check, ``_check_range``.  Parsers take the input as
-``str`` and either return validated values or raise a ``QcmError`` subclass.
+validator.  Every bounded number in qcm, field or argument, goes through
+``_check_range``, or ``_check_positive`` for a tolerance or a confidence.
+Parsers take ``str`` and return validated values or raise a ``QcmError``.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
 
@@ -108,8 +108,12 @@ def _object(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...]
 
 
 def _to_float(value, label: str) -> float:
-    """The one number policy: a JSON or Python int or float, never a bool or a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """The one number policy: any real number, numpy's too, never a bool or a string."""
+    real = isinstance(value, (int, float))
+    if not real:  # a numpy scalar, or a value to reject; numbers is not loaded at startup
+        import numbers
+        real = isinstance(value, numbers.Real)
+    if real and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
@@ -123,6 +127,15 @@ def _check_range(value, label: str, lo: float = 0.0, hi: float = 1.0) -> float:
     value = _to_float(value, label)
     if not math.isfinite(value) or not lo <= value <= hi:
         raise DataValidationError(f"{label}={value!r} outside [{lo:g}, {hi:g}]")
+    return value
+
+
+def _check_positive(value, label: str, hi: float = math.inf) -> float:
+    """The one rule for a tolerance (hi = inf) or a confidence (hi = 1): 0 < value < hi."""
+    value = _to_float(value, label)
+    if not 0.0 < value < hi:  # false for NaN, and for inf when hi is inf
+        below = "" if hi == math.inf else f" and < {hi:g}"
+        raise DataValidationError(f"{label} must be a finite number > 0{below}, got {value!r}")
     return value
 
 

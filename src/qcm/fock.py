@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, Record, _check_range, _sum
+from .data import BLOCKS, FIT_POLICIES, _BLOCK_ATTR, MembershipRecord, Record, _sum
+from .data import _check_positive, _check_range
 from .errors import DataValidationError
 
 FIT_TOLERANCE = 1e-9
@@ -226,6 +227,8 @@ class FitResult(Record):
     tolerance: float = FIT_TOLERANCE
 
     def __post_init__(self):
+        object.__setattr__(self, "residual", _check_range(self.residual, "residual", 0.0, math.inf))
+        object.__setattr__(self, "tolerance", _check_positive(self.tolerance, "tolerance"))
         if self.feasible and self.residual > self.tolerance:
             raise DataValidationError(
                 f"feasible fit with residual {self.residual!r} above tolerance"
@@ -256,11 +259,10 @@ def fit_two_sector(
     (attribute as little to interference as possible).  ``min-m2``:
     smallest sector-2 weight, ties broken by smallest |cos theta|.
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     mu_a = _check_range(mu_a, "muA")
     mu_b = _check_range(mu_b, "muB")
     target = _check_range(target, "target")
-    if connective not in ("and", "or"):
-        raise ValueError(f"connective must be 'and' or 'or', got {connective!r}")
     if policy not in FIT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
 
@@ -446,6 +448,7 @@ def fit_general_quadruple(
     least marginal slack |sa| + |sb|, then the smallest sa, then the
     smallest sb, then a1 at its lower bound (the smallest alpha_AB).
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     mu_a, mu_b = record.require("muA", "muB")
     marginals = record_marginals(record)
     targets = dict(zip(BLOCKS, joint_targets(record)))

@@ -31,7 +31,8 @@ import numbers
 from collections.abc import Mapping, Sequence
 
 from .data import (
-    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, Record, _check_range, _load_json, _object, _sum,
+    BLOCK_SUM_TOLERANCE, BLOCKS, CoincidenceTable, Record, _check_positive, _check_range, _load_json,
+    _object, _sum,
 )
 from .errors import DataValidationError, SchemaError
 
@@ -288,6 +289,7 @@ def marginal_law_check(
     for the B-side (second-factor) labels; 2 labels per side gives 8
     comparisons.  Disagreement beyond ``tolerance`` marks a violation.
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     comparisons = []
     for block_a, block_b, side in _MARGINAL_PAIRINGS:
         labels_a = _side_labels(table, block_a, side)
@@ -478,6 +480,7 @@ def verify_reference_model(
     tolerance constants.  Sub-check failures are listed in the report;
     nothing throws.
     """
+    marginal_tolerance = _check_positive(marginal_tolerance, "marginal_tolerance")
     checks: list[CheckItem] = []
     report = expectations_from_table(table)
     table_e = report.expectations()

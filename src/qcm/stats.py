@@ -36,7 +36,7 @@ import math
 import struct
 from collections.abc import Callable, Sequence
 
-from .data import CountDataset, Record, _check_range, _sum
+from .data import CountDataset, Record, _check_positive, _check_range, _sum
 from .errors import DataValidationError, InsufficientDataError
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
@@ -338,15 +338,14 @@ def linear_regression(
     xs: Sequence[float], ys: Sequence[float], confidence: float = 0.95
 ) -> RegressionResult:
     """Ordinary least squares of ys on xs plus a CI on mean(ys)."""
-    if not 0.0 < confidence < 1.0:
-        raise DataValidationError(f"confidence={confidence!r} outside (0, 1)")
+    confidence = _check_positive(confidence, "confidence", 1.0)
     if len(xs) != len(ys):
         raise InsufficientDataError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
     n = len(xs)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 points, got {n}")
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
+    xs = [_check_range(x, f"xs[{i}]", -math.inf, math.inf) for i, x in enumerate(xs)]
+    ys = [_check_range(y, f"ys[{i}]", -math.inf, math.inf) for i, y in enumerate(ys)]
     x_mean = _sum(xs) / n
     y_mean = _sum(ys) / n
     sxx = _sum((x - x_mean) ** 2 for x in xs)

@@ -250,6 +250,11 @@ class TestTwoSectorFit:
         with pytest.raises(DataValidationError, match=rf"{label}=.* outside \[0, 1\]"):
             call()
 
+    def test_unknown_connective_rejected(self):
+        # FockParams holds the one connective check, and every fit result builds one
+        with pytest.raises(DataValidationError, match="connective must be 'and' or 'or', got 'xor'"):
+            fit_two_sector(0.5, 0.5, 0.3, "xor")
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             fit_two_sector(0.6, 0.4, 0.45, "and", policy="maximize-drama")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -301,6 +302,27 @@ class TestLinearRegression:
     def test_confidence_range(self):
         with pytest.raises(DataValidationError, match="confidence"):
             linear_regression([1, 2, 3], [1, 2, 3], confidence=1.5)
+
+    def test_string_confidence_is_a_data_error(self):
+        with pytest.raises(DataValidationError, match=r"^confidence='0.5' is not a number$"):
+            linear_regression([0, 1, 2], [0, 1, 2], confidence="0.5")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_points_follow_the_number_policy(self, axis, bad):
+        points = {"xs": [0.0, 1.0, 2.0, 3.0], "ys": [0.0, 1.0, 4.0, 9.0]}
+        points[axis][2] = bad
+        with pytest.raises(DataValidationError, match=rf"^{axis}\[2\]="):
+            linear_regression(points["xs"], points["ys"])
+
+    def test_numpy_points_accepted(self):
+        expected = linear_regression([0, 1, 2, 3, 4], [0.0, 2.0, 1.0, 3.0, 5.0])
+        for xs, ys in (
+            (np.arange(5), np.array([0.0, 2.0, 1.0, 3.0, 5.0])),
+            (np.arange(5, dtype=np.float32), np.array([0, 2, 1, 3, 5], dtype=np.int8)),
+        ):
+            assert linear_regression(xs, ys) == expected
+        assert linear_regression(np.arange(5), np.arange(5.0)).slope == 1.0
 
     def test_half_width_matches_textbook_t_value(self):
         # df = 2: P(|T| <= t) = t / sqrt(2 + t^2), so t = c * sqrt(2 / (1 - c^2)) exactly
