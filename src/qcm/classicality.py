@@ -128,15 +128,6 @@ class DeviationProfile(Record):
             value = _check_range(getattr(self, name), name, lo, 1.0 + 1e-12)
             object.__setattr__(self, name, value)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "iA": self.i_a,
-            "iB": self.i_b,
-            "iAp": self.i_ap,
-            "iBp": self.i_bp,
-            "iTotal": self.i_total,
-        }
-
 
 def deviation_profile(record: MembershipRecord) -> DeviationProfile:
     """The five deviation quantities of the negation quadruple.
@@ -170,8 +161,8 @@ def profile_statistics(
         raise InsufficientDataError(f"need at least 3 profiles, got {len(profiles)}")
     xs = [float(i) for i in range(1, len(profiles) + 1)]
     result = {}
-    for key in PROFILE_KEYS:
-        ys = [profile.as_dict()[key] for profile in profiles]
+    for key, name in zip(PROFILE_KEYS, DeviationProfile._fields):
+        ys = [getattr(profile, name) for profile in profiles]
         result[key] = linear_regression(xs, ys, confidence)
     return result
 

@@ -8,9 +8,10 @@ comparisons, optional reference-model verification), ``stats-fit``
 combined run driven by a manifest file).
 
 Each command builds its report once, as the JSON payload; ``--output
-text`` renders the text from that payload.  Text renders floats at 4
-decimals (round half to even) so reports are byte-stable; JSON keeps full
-precision and never holds NaN or infinities.
+text`` renders the text from that payload.  A record enters the payload
+under the keys of ``Record.as_dict``, the one key rule.  Text renders
+floats at 4 decimals (round half to even) so reports are byte-stable;
+JSON keeps full precision and never holds NaN or infinities.
 
 A command executes only the analysis modules it calls: ``cls``, ``fock``,
 ``hilbert``, ``stats`` and ``svg`` are bound here as the lazy modules
@@ -28,7 +29,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from collections.abc import Sequence
 
@@ -92,14 +92,6 @@ def _read_input(path: str) -> str:
         raise DataValidationError(f"input path {path!r}: {exc}") from None
 
 
-def _fields(obj) -> dict:
-    """A record's fields, in order, under camelCase keys (m2_min -> m2Min)."""
-    return {
-        re.sub(r"_(.)", lambda m: m.group(1).upper(), name): getattr(obj, name)
-        for name in obj._fields
-    }
-
-
 def _record_payload(record) -> dict:
     return {
         "exemplar": record.exemplar,
@@ -150,7 +142,7 @@ def _cmd_classicality(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             entry["negation"] = _verdict_payload(cls.check_negation(record, tolerance))
             profile = cls.deviation_profile(record)
             profiles.append(profile)
-            entry["deviationProfile"] = dict(profile.as_dict())
+            entry["deviationProfile"] = profile.as_dict()
         entries.append(entry)
 
     statistics_payload = None
@@ -254,8 +246,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                 result = fock.fit_two_sector(
                     record.mu_a, record.mu_b, target, connective, policy, tolerance
                 )
-                params = result.params
-                predicted = fock.eval_two_sector(record.mu_a, record.mu_b, params)
+                params, predicted = result.params, result.predictions[0]
                 fits.append(
                     {
                         **_record_payload(record),
@@ -270,7 +261,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                         "inRange": predicted.in_range,
                         "residual": result.residual,
                         "feasible": result.feasible,
-                        "solutionSet": _fields(result.family),
+                        "solutionSet": result.family.as_dict(),
                     }
                 )
     else:
@@ -278,9 +269,8 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             if not (record.negation_complete() and record.has("muAandB")):
                 continue
             result = fock.fit_general_quadruple(record, tolerance)
-            predictions = fock.eval_general_record(record, result.params)
             pairs = {}
-            for key in BLOCKS:
+            for key, predicted in zip(BLOCKS, result.predictions):
                 pair = result.params.pair(key)
                 pairs[key] = {
                     "m2": pair.m2,
@@ -288,8 +278,8 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                     "alpha": pair.alpha,
                     "beta": pair.beta,
                     "phiDeg": pair.phi_deg,
-                    "predicted": predictions[key].value,
-                    "inRange": predictions[key].in_range,
+                    "predicted": predicted.value,
+                    "inRange": predicted.in_range,
                 }
             fits.append(
                 {
@@ -414,7 +404,7 @@ def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
         "classicalBoundViolated": report.classical_violated,
         "tsirelsonBoundRespected": report.tsirelson_respected,
         "marginalTolerance": tolerance,
-        "marginalComparisons": [_fields(c) for c in comparisons],
+        "marginalComparisons": [c.as_dict() for c in comparisons],
         "marginalViolations": _sum(c.violated for c in comparisons),
         "model": None,
     }
@@ -426,7 +416,7 @@ def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             "input": _input_name(args.model),
             "allPassed": verification.all_passed,
             "classification": verification.classification,
-            "checks": [_fields(item) for item in verification.checks],
+            "checks": [item.as_dict() for item in verification.checks],
         }
 
     if not plot:
@@ -501,7 +491,7 @@ def _cmd_stats_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                     }
                     for fit in (mb, be)
                 },
-                "comparison": _fields(stats.compare_bic(mb, be)),
+                "comparison": stats.compare_bic(mb, be).as_dict(),
             }
         )
         if plot:  # the chart needs the observations and fitted pmfs, which the payload lacks

@@ -11,7 +11,8 @@ Three dataset shapes are supported:
 
 All types are ``Record`` subclasses, immutable after construction and
 fully validated in ``__post_init__``, which holds each field's one
-validator.  Every bounded number in qcm, field or argument, goes through
+validator; ``Record.as_dict`` holds the one rule for their JSON keys.
+Every bounded number in qcm, field or argument, goes through
 ``_check_range``, or ``_check_positive`` for a tolerance or a confidence.
 Parsers take ``str`` and return validated values or raise a ``QcmError``.
 
@@ -125,9 +126,11 @@ def _check_range(value, label: str, lo: float = 0.0, hi: float = 1.0) -> float:
     """The one range check for every bounded number in qcm: ``_to_float``'s
     policy, then a finite value in ``[lo, hi]``, inclusive; a bound may be infinite."""
     value = _to_float(value, label)
-    if not math.isfinite(value) or not lo <= value <= hi:
+    if math.isfinite(value) and lo <= value <= hi:
+        return value
+    if math.isfinite(value) or math.isfinite(hi - lo):  # a finite range excludes inf and NaN
         raise DataValidationError(f"{label}={value!r} outside [{lo:g}, {hi:g}]")
-    return value
+    raise DataValidationError(f"{label}={value!r} is not finite")
 
 
 def _check_positive(value, label: str, hi: float = math.inf) -> float:
@@ -137,6 +140,11 @@ def _check_positive(value, label: str, hi: float = math.inf) -> float:
         below = "" if hi == math.inf else f" and < {hi:g}"
         raise DataValidationError(f"{label} must be a finite number > 0{below}, got {value!r}")
     return value
+
+
+def _camel_case(name: str) -> str:  # m2_min -> m2Min
+    first, *rest = name.split("_")
+    return first + "".join(word[:1].upper() + word[1:] for word in rest)
 
 
 class Record:
@@ -154,6 +162,7 @@ class Record:
     def __init_subclass__(cls, eq: bool = True):
         cls._fields = tuple(cls.__annotations__)
         cls._field_set = frozenset(cls._fields)
+        cls._keys = tuple(_camel_case(name) for name in cls._fields)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
@@ -187,6 +196,10 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        """The fields, in order, under the camelCase keys a JSON payload gives them."""
+        return {key: getattr(self, name) for key, name in zip(self._keys, self._fields)}
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

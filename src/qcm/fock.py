@@ -225,6 +225,7 @@ class FitResult(Record):
     family: FeasibleSet | None
     policy: str
     tolerance: float = FIT_TOLERANCE
+    predictions: tuple[Prediction, ...] = ()  # at each target, in order (BLOCKS for a quadruple)
 
     def __post_init__(self):
         object.__setattr__(self, "residual", _check_range(self.residual, "residual", 0.0, math.inf))
@@ -274,9 +275,11 @@ def fit_two_sector(
 
     def result(m2: float, theta_rad: float, feasible_set: FeasibleSet) -> FitResult:
         params = FockParams(m2=m2, n2=1.0 - m2, theta_rad=theta_rad, connective=connective)
-        residual = abs(eval_two_sector(mu_a, mu_b, params).value - target)
+        prediction = eval_two_sector(mu_a, mu_b, params)
+        residual = abs(prediction.value - target)
         return FitResult(params=params, residual=residual, feasible=residual <= tolerance,
-                         family=feasible_set, policy=policy, tolerance=tolerance)
+                         family=feasible_set, policy=policy, tolerance=tolerance,
+                         predictions=(prediction,))
 
     # for s = +1 and -1 the condition reads m2*(I - s*span) <= I - s*offset:
     # a bound at the root (s*I - offset) / (s*I - span), upper when
@@ -469,9 +472,8 @@ def fit_general_quadruple(
             apb=pair_params["ApB"],
             apbp=pair_params["ApBp"],
         )
-        residual = max(
-            abs(p.value - targets[k]) for k, p in eval_general_record(record, params).items()
-        )
+        predictions = tuple(eval_general_record(record, params).values())
+        residual = max(abs(p.value - targets[k]) for k, p in zip(BLOCKS, predictions))
         return FitResult(
             params=params,
             residual=residual,
@@ -479,6 +481,7 @@ def fit_general_quadruple(
             family=family,
             policy="min-interference",
             tolerance=tolerance,
+            predictions=predictions,
         )
 
     # classical shortcut: the conjunction weights themselves as sector-2 atoms

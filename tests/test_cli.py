@@ -228,6 +228,14 @@ class TestExitCodes:
         assert main([command, flag, str(path)]) == 1
         assert capsys.readouterr().err.startswith("qcm: error: ")
 
+    def test_infinite_frequency_is_named_not_finite(self, tmp_path, capsys):
+        path = tmp_path / "counts.json"
+        path.write_text('{"category": "c", "N": 1, "observed": [1e999, 0]}', encoding="utf-8")
+        assert main(["stats-fit", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "qcm: error: count dataset 0: dataset 'c': observed[0]=inf is not finite\n"
+        )
+
     @pytest.mark.parametrize("value", ["abc", None, [0.5]])
     def test_malformed_coincidence_probability_is_data_error(self, tmp_path, capsys, value):
         table = json.loads((DATA_DIR / "animal_acts_table.json").read_text())
@@ -346,6 +354,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "i/o error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "mode, source, evaluator, per_fit",
+    [
+        ("two-sector", "hampton.csv", "eval_two_sector", 1),
+        ("general", "goldfish.csv", "eval_general", 4),
+    ],
+)
+def test_fock_fit_evaluates_each_fitted_prediction_once(
+    mode, source, evaluator, per_fit, monkeypatch, capsys
+):
+    calls = []
+    evaluate = getattr(cli.fock, evaluator)
+    monkeypatch.setattr(
+        cli.fock, evaluator, lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs)
+    )
+    argv = ["fock-fit", "--input", str(DATA_DIR / source), "--mode", mode, "--output", "json"]
+    assert main(argv) == 0
+    fits = json.loads(capsys.readouterr().out)["fits"]
+    assert fits and len(calls) == per_fit * len(fits)
 
 
 class TestStdinAndFormats:

@@ -34,6 +34,7 @@ from qcm import (
     joint_targets,
     record_marginals,
 )
+from qcm.data import FIT_POLICIES
 from qcm.fock import _EPS, MARGINAL_SLACK, _least_slack_point
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -500,6 +501,26 @@ class TestGeneralModelFit:
         assert abs(result.params.ab.alpha + result.params.abp.alpha - mu_a) <= 0.05 + 1e-9
         assert abs(result.params.ab.alpha + result.params.apb.alpha - mu_b) <= 0.05 + 1e-9
         assert general_fit_interference(result) <= general_fit_grid_oracle(record) + 1e-9
+
+
+class TestFitPredictions:
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(unit, min_size=8, max_size=8), policy=st.sampled_from(FIT_POLICIES))
+    def test_predictions_are_the_fitted_model_at_each_target(self, weights, policy):
+        mu_a, mu_b, mu_ap, mu_bp, ab, abp, apb, apbp = weights
+        for connective, target in (("and", ab), ("or", abp)):
+            fit = fit_two_sector(mu_a, mu_b, target, connective, policy)
+            assert fit.predictions == (eval_two_sector(mu_a, mu_b, fit.params),)
+            assert fit.residual == abs(fit.predictions[0].value - target)
+        record = MembershipRecord(
+            exemplar="random", mu_a=mu_a, mu_b=mu_b, mu_ap=mu_ap, mu_bp=mu_bp,
+            mu_a_and_b=ab, mu_a_and_bp=abp, mu_ap_and_b=apb, mu_ap_and_bp=apbp,
+        )
+        fit = fit_general_quadruple(record)
+        assert fit.predictions == tuple(eval_general_record(record, fit.params).values())
+        assert fit.residual == max(
+            abs(p.value - t) for p, t in zip(fit.predictions, joint_targets(record))
+        )
 
 
 # the general fit's alpha slice: alpha = sign*a1 + f0 + f1*sa + f2*sb, pair by pair

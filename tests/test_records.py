@@ -3,17 +3,20 @@
 Each record class is compared with a ``dataclasses`` twin built here from the
 same class body, so ``repr``, equality, hashing, frozenness, argument binding
 and ``__post_init__`` validation are checked against the standard library
-rather than against a copy of the base's own logic.
+rather than against a copy of the base's own logic.  ``as_dict`` is checked
+against the camelCase rule written as a regular expression.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
 from conftest import DATA_DIR
 from qcm import (
+    PROFILE_KEYS,
     ComplexVector4,
     Observable4,
     check_negation,
@@ -203,3 +206,20 @@ def test_post_init_validates_as_the_twin_does(cls):
             assert outcome == _outcome(lambda: twin(*changed)), (cls._fields[index], substitute)
             if isinstance(outcome, str):  # built: equal to the sample just when the twin is
                 assert (cls(*changed) == SAMPLES[cls]) is (twin(*changed) == twin(*values))
+
+
+@CLASSES
+def test_as_dict_gives_every_field_under_its_camel_case_key(cls):
+    # test_every_record_class_has_a_sample makes this a walk over every record class
+    record = SAMPLES[cls]
+    oracle = [
+        (re.sub(r"_(.)", lambda m: m.group(1).upper(), name), getattr(record, name))
+        for name in cls._fields
+    ]
+    pairs = list(record.as_dict().items())
+    assert [key for key, _ in pairs] == [key for key, _ in oracle]
+    assert all(ours is theirs for (_, ours), (_, theirs) in zip(pairs, oracle))
+
+
+def test_deviation_profile_keys_are_the_profile_keys():
+    assert tuple(SAMPLES[classicality.DeviationProfile].as_dict()) == PROFILE_KEYS

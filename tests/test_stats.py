@@ -315,6 +315,11 @@ class TestLinearRegression:
         with pytest.raises(DataValidationError, match=rf"^{axis}\[2\]="):
             linear_regression(points["xs"], points["ys"])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_point_that_is_not_finite_is_named_so(self, bad):
+        with pytest.raises(DataValidationError, match=rf"^ys\[2\]={bad!r} is not finite$"):
+            linear_regression([0, 1, 2], [0, 1, bad])
+
     def test_numpy_points_accepted(self):
         expected = linear_regression([0, 1, 2, 3, 4], [0.0, 2.0, 1.0, 3.0, 5.0])
         for xs, ys in (
