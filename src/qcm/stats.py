@@ -12,13 +12,18 @@ instances between two states:
 the residual sum of squares over p1 in [0, 1].  The BE pmf is linear in
 p1, so its RSS is a parabola whose minimiser has a closed form, clipped
 to [0, 1].  The MB RSS need not be unimodal, and its features narrow like
-1/sqrt(N): its fit tabulates the RSS on 16 * ceil(sqrt(N) / 4) equal cells
-of [0, 1], refines each grid point no higher than its neighbours by Brent's
+1/sqrt(N): its fit takes the RSS on 16 * ceil(sqrt(N) / 4) equal cells of
+[0, 1], refines each grid point no higher than its neighbours by Brent's
 method, and keeps the least point found.  That is deterministic but not
-proven global.  The MB fit tabulates the N+1 binomial coefficients as
-floats once, so an RSS evaluation does no big-integer work; its terms
-repeat ``pmf_vector``'s float operations in order, so every reported RSS
-matches one computed from ``pmf_vector`` bit for bit.
+proven global.  A screen encloses each grid point's RSS in an interval
+from the terms near N p1 alone; the exact O(N) RSS is computed only at
+points whose interval does not lie above a neighbour's, and at their
+neighbours, so the local minima and the fit are those of the all-exact
+grid.  Each Brent search stops at a 1e-14 bracket or at the RSS's rounding
+floor, whichever comes first.  The binomial coefficients are tabulated as
+floats once per N, so an RSS evaluation does no big-integer work; its
+terms repeat ``pmf_vector``'s float operations in order, so every reported
+RSS matches one computed from ``pmf_vector`` bit for bit.
 
 Model comparison uses the Gaussian least-squares BIC
 ``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and nobs = N + 1.
@@ -35,6 +40,7 @@ import functools
 import math
 import struct
 from collections.abc import Callable, Sequence
+from itertools import accumulate
 
 from .data import CountDataset, Record, _check_positive, _check_range, _sum
 from .errors import DataValidationError, InsufficientDataError
@@ -43,6 +49,14 @@ _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
 # absolute p1 tolerance of the MB fit's Brent searches, small enough for an exact
 # fit to reach its RSS's float floor (~1e-27; a 1e-12 tolerance can stop at ~1e-24)
 _P1_TOL = 1e-14
+# the float spacing at 1.0
+_EPS = 2.0**-52
+# the MB fit's Brent searches stop once two successive probes land within
+# _STOP_ULPS * (N + 1) * _EPS * RSS of the incumbent RSS, its rounding floor
+# (where that band is wider than the evaluator's rounding error, see fit_distribution)
+_STOP_ULPS = 4
+# half-width of the MB grid screen's exact window, in standard deviations of Bin(N, p1)
+_SCREEN_SIGMAS = 5.0
 
 # guard: exact fits give RSS = 0; floor keeps ln finite and JSON-safe
 _RSS_FLOOR = 1e-300
@@ -54,7 +68,13 @@ FAMILIES = ("MB", "BE")
 
 
 def brent_minimize(
-    f: Callable[[float], float], lo: float, hi: float, x: float, fx: float
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    x: float,
+    fx: float,
+    band: float = 0.0,
+    band_from: float = math.inf,
 ) -> tuple[float, float]:
     """A local minimum of f on [lo, hi] by Brent's method, as ``(f(x), x)``.
 
@@ -63,13 +83,18 @@ def brent_minimize(
     vertex is not trusted (Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 5).  Stops once the bracket [a, b] around the
     best point x has max(x - a, b - x) <= 2 * _P1_TOL, so a local minimiser
-    lies within 2e-14 of x.  f is never evaluated outside [lo, hi].
+    lies within 2e-14 of x.  It also stops once two successive probes u, each
+    made while the incumbent fx >= band_from, have |f(u) - fx| < band * fx: the
+    caller sets band to f's rounding floor, below which a further probe
+    cannot tell a lower point from noise.  The defaults never stop early.  f
+    is never evaluated outside [lo, hi].
     """
     tol = _P1_TOL
     a, b = lo, hi
     v = w = x
     fv = fw = fx
     d = e = 0.0
+    flat = 0  # successive probes inside the band
     while True:
         m = 0.5 * (a + b)
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
@@ -92,6 +117,7 @@ def brent_minimize(
             d = _GOLD * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = f(u)
+        flat = flat + 1 if fx >= band_from and abs(fu - fx) < band * fx else 0
         if fu <= fx:
             a, b = (a, x) if u < x else (x, b)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -101,6 +127,8 @@ def brent_minimize(
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+        if flat == 2:
+            return fx, x
 
 
 class DistParams(Record):
@@ -118,15 +146,30 @@ class DistParams(Record):
         object.__setattr__(self, "p1", _check_range(self.p1, "p1"))
 
 
+@functools.lru_cache(maxsize=16)
+def _binomial_row(big_n: int) -> tuple[float, ...]:
+    """float(C(N, n)) for n = 0..N, from the exact integer recurrence.
+
+    The integers are ``math.comb``'s, at a tenth of its cost for a whole
+    row, and a fit, its screen and its plotted pmf share one row.  Raises
+    OverflowError once C(N, n) exceeds the float range (N >~ 1030).
+    """
+    row = []
+    c = 1
+    for n in range(big_n + 1):
+        row.append(float(c))
+        c = c * (big_n - n) // (n + 1)
+    return tuple(row)
+
+
 def pmf_vector(params: DistParams) -> tuple[float, ...]:
     """The family's probability of each n = 0..N, as in the module docstring."""
     big_n, p1 = params.n_total, params.p1
+    q = 1.0 - p1
     if params.family == "MB":
-        return tuple(
-            math.comb(big_n, n) * p1**n * (1.0 - p1) ** (big_n - n) for n in range(big_n + 1)
-        )
+        return tuple(c * p1**n * q ** (big_n - n) for n, c in enumerate(_binomial_row(big_n)))
     scale = big_n * (big_n + 1) / 2
-    return tuple((n * p1 + (big_n - n) * (1.0 - p1)) / scale for n in range(big_n + 1))
+    return tuple((n * p1 + (big_n - n) * q) / scale for n in range(big_n + 1))
 
 
 class DistFit(Record):
@@ -155,13 +198,14 @@ def _bic(rss: float, nobs: int) -> float:
 def _rss_evaluator(big_n: int, observed: tuple[float, ...]) -> Callable[[float], float]:
     """MB RSS against ``observed`` as a function of p1, tabulated once per dataset.
 
-    Each term repeats ``pmf_vector``'s float operations in their order (an
-    int times a float rounds the int to float first), and the terms add left
-    to right, so every value equals ``_sum((p - o) ** 2 for p, o in
-    zip(pmf_vector(params), observed))`` bit for bit.  The loop is written
-    out because this is the MB fit's hot path, where a call per term costs 10-15%.
+    Each term repeats ``pmf_vector``'s float operations in their order, and
+    the terms add left to right, so every value equals ``_sum((p - o) ** 2
+    for p, o in zip(pmf_vector(params), observed))`` bit for bit.  The loop
+    is written out because this is the MB fit's hot path, where a call per
+    term costs 10-15%.
     """
-    rows = tuple((float(math.comb(big_n, n)), n, big_n - n, o) for n, o in enumerate(observed))
+    row = _binomial_row(big_n)
+    rows = tuple(zip(row, range(big_n + 1), range(big_n, -1, -1), observed))
 
     def rss_at(p1: float) -> float:
         q = 1.0 - p1
@@ -173,6 +217,57 @@ def _rss_evaluator(big_n: int, observed: tuple[float, ...]) -> Callable[[float],
     return rss_at
 
 
+def _rss_screen(
+    big_n: int, observed: tuple[float, ...]
+) -> Callable[[float], tuple[float, float]]:
+    """A cheap enclosure of the MB RSS: p1 -> ``(value, bound)``.
+
+    ``|value - rss_at(p1)| <= bound`` for the evaluator ``_rss_evaluator``
+    builds.  value sums ``rss_at``'s own terms x_n = C(N, n) p1^n q^(N-n)
+    only in a window [lo, hi] of _SCREEN_SIGMAS standard deviations plus one
+    around N p1, and takes sum(o_n^2) outside it from running sums.  The
+    bound holds because:
+
+    * outside the window, (x - o)^2 differs from o^2 by at most x (x + 2 o);
+    * the window holds the mode, and binomial terms fall away from it (their
+      ratio x_{n+1} / x_n = (N - n) p1 / ((n + 1) q) decreases in n), so each
+      such x is at most the window's edge term, widened for the terms'
+      relative rounding (< 16 ulps) and for underflow (< 2^(N - 1072) each);
+    * the two sums each round by at most (N + 4) ulps of their total.
+    """
+    row = _binomial_row(big_n)
+    rows = tuple(zip(row, range(big_n + 1), range(big_n, -1, -1), observed))
+    squares = [o * o for o in observed]
+    squares_before = list(accumulate(squares, initial=0.0))
+    squares_after = list(accumulate(reversed(squares), initial=0.0))[::-1]
+    mass_before = list(accumulate(observed, initial=0.0))
+    mass_after = list(accumulate(reversed(observed), initial=0.0))[::-1]
+    underflow = 2.0 * math.ldexp(1.0, big_n - 1072)
+    widen = 1.0 + 2.0**-46
+    rounding = (big_n + 16) * _EPS
+
+    def screen(p1: float) -> tuple[float, float]:
+        q = 1.0 - p1
+        mean = big_n * p1
+        width = _SCREEN_SIGMAS * math.sqrt(mean * q) + 1.0
+        lo = max(math.floor(mean - width), 0)
+        hi = min(math.ceil(mean + width), big_n)
+        value = squares_before[lo]
+        for c, n, m, o in rows[lo : hi + 1]:
+            value += (c * p1**n * q**m - o) ** 2
+        value += squares_after[hi + 1]
+        outside = 0.0
+        if lo > 0:
+            edge = (row[lo] * p1**lo * q ** (big_n - lo) + underflow) * widen
+            outside += edge * (lo * edge + 2.0 * mass_before[lo])
+        if hi < big_n:
+            edge = (row[hi] * p1**hi * q ** (big_n - hi) + underflow) * widen
+            outside += edge * ((big_n - hi) * edge + 2.0 * mass_after[hi + 1])
+        return value, outside + rounding * (value + 2.0 * outside)
+
+    return screen
+
+
 def fit_distribution(data: CountDataset, family: str) -> DistFit:
     """Least-squares fit of p1 for one family against observed frequencies.
 
@@ -180,8 +275,15 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
     the RSS's derivative to zero gives p1 = 1/2 + 3 sum((2n - N) o_n) / (2(N + 2)),
     clipped to [0, 1].  MB: the least ``(rss, p1)`` over a grid of
     16 * ceil(sqrt(N) / 4) equal cells, endpoints included, and a Brent search
-    to 1e-14 from each grid point no higher than its neighbours, over the
-    cells beside it.  Not proven global.
+    from each grid point no higher than its neighbours, over the cells beside
+    it.  ``_rss_screen`` rules out the grid points it proves higher than a
+    neighbour without their exact RSS, which leaves the local minima as they
+    are.  Each search runs to a 1e-14 bracket, or until two successive probes
+    come within _STOP_ULPS * (N + 1) ulps (relative) of the incumbent RSS, the
+    evaluator's own rounding; that stop applies only at RSS values where the
+    band is wider than the evaluator's rounding error.  An exact fit's RSS
+    falls by orders of magnitude per probe and never meets the band.  Not
+    proven global.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected MB or BE)")
@@ -197,14 +299,39 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
     else:
         # the RSS's features narrow like 1/sqrt(N): grid spacing <= 1/(4 sqrt(N))
         rss_at = _rss_evaluator(big_n, observed)
+        screen = _rss_screen(big_n, observed)
         cells = 16 * math.ceil(math.sqrt(big_n) / 4.0)
-        grid = [(rss_at(i / cells), i / cells) for i in range(cells + 1)]
-        refined = []
-        for i, (rss, p1) in enumerate(grid):
-            left, right = grid[max(i - 1, 0)], grid[min(i + 1, cells)]
-            if rss <= left[0] and rss <= right[0]:
-                refined.append(brent_minimize(rss_at, left[1], right[1], p1, rss))
-        rss, p1 = min(grid + refined)
+        spans = []
+        for i in range(cells + 1):
+            value, bound = screen(i / cells)
+            spans.append((value - bound, value + bound))
+        grid = [None] * (cells + 1)
+
+        def exact(i: int) -> float:
+            if grid[i] is None:
+                grid[i] = rss_at(i / cells)
+            return grid[i]
+
+        # an RSS f is computed to within 32 u sqrt(f) + (N + 4) u f, u = _EPS / 2
+        # (16 ulps per pmf term, sum(pmf^2) <= 1): the band is wider than two
+        # such errors once sqrt(f) >= 32 / (_STOP_ULPS (N + 1) - N - 4)
+        band = _STOP_ULPS * nobs * _EPS
+        margin = _STOP_ULPS * nobs - big_n - 4
+        band_from = (32.0 / margin) ** 2 if margin > 0 else math.inf
+        found = []
+        for i, (low, _) in enumerate(spans):
+            left, right = max(i - 1, 0), min(i + 1, cells)
+            # a point screened above a neighbour is no local minimum of the grid
+            if low > spans[left][1] or low > spans[right][1]:
+                continue
+            rss = exact(i)
+            if rss <= exact(left) and rss <= exact(right):
+                p1 = i / cells
+                found.append((rss, p1))
+                found.append(
+                    brent_minimize(rss_at, left / cells, right / cells, p1, rss, band, band_from)
+                )
+        rss, p1 = min(found)
 
     mean = _sum(observed) / nobs
     tss = _sum((o - mean) ** 2 for o in observed)

@@ -88,21 +88,19 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
     n_ser = max(1, len(chart.series))
     slot = plot_width / max(1, n_cat)
     bar = slot * 0.8 / n_ser
+    label_y = plot_top + plot_height + 16
     for ci, category in enumerate(chart.categories):
         slot_left = plot_left + ci * slot + slot * 0.1
         for si, series in enumerate(chart.series):
-            value = series.values[ci]
-            top = min(y_of(value), zero_y)
-            height = abs(y_of(value) - zero_y)
-            color = PALETTE[si % len(PALETTE)]
+            y = y_of(series.values[ci])
             parts.append(
-                f'<rect x="{_fmt(slot_left + si * bar)}" y="{_fmt(top)}" '
-                f'width="{_fmt(bar)}" height="{_fmt(height)}" fill="{color}"/>'
+                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
+                % (slot_left + si * bar, min(y, zero_y), bar, abs(y - zero_y),
+                   PALETTE[si % len(PALETTE)])
             )
         parts.append(
-            f'<text x="{_fmt(plot_left + ci * slot + slot / 2)}" '
-            f'y="{_fmt(plot_top + plot_height + 16)}" font-size="10" '
-            f'text-anchor="middle">{escape(category, quote=False)}</text>'
+            '<text x="%.2f" y="%.2f" font-size="10" text-anchor="middle">%s</text>'
+            % (plot_left + ci * slot + slot / 2, label_y, escape(category, quote=False))
         )
 
     legend_x = plot_left

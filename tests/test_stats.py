@@ -139,6 +139,19 @@ class TestBrentMinimize:
         assert 0.0 <= x <= 1.0
         assert len(seen) <= 100
 
+    def test_band_stops_after_two_flat_probes(self):
+        # a constant is flat to any band: the third probe never happens
+        seen = []
+        fx, x = brent_minimize(lambda t: seen.append(t) or 1.0, 0.0, 1.0, 0.5, 1.0, 1e-9, 0.0)
+        assert (fx, len(seen)) == (1.0, 2)
+
+    def test_band_applies_only_while_the_incumbent_is_above_band_from(self):
+        # the same search as without a band, because the incumbent 1.0 is below band_from
+        _, plain = self.run(lambda t: 1.0, 0.0, 1.0, 0.5)
+        seen = []
+        brent_minimize(lambda t: seen.append(t) or 1.0, 0.0, 1.0, 0.5, 1.0, 1e-9, 2.0)
+        assert seen == plain and len(plain) > 2
+
 
 class TestFitDistribution:
     @pytest.mark.parametrize("n_total", [7, 8, 9, 11, 50, 100, 300])
@@ -477,20 +490,21 @@ def test_mb_fit_finds_the_minimum_two_close_peaks_hide():
     assert fit.rss <= 0.0113958570
 
 
-def count_rss_evaluations(monkeypatch):
+def count_calls(monkeypatch, factory):
+    """Every argument passed to the functions that ``stats.<factory>`` builds from now on."""
     calls = []
-    evaluator = stats._rss_evaluator
+    build = getattr(stats, factory)
 
     def counting(*args):
-        rss_at = evaluator(*args)
+        function = build(*args)
 
         def counted(p1):
             calls.append(p1)
-            return rss_at(p1)
+            return function(p1)
 
         return counted
 
-    monkeypatch.setattr(stats, "_rss_evaluator", counting)
+    monkeypatch.setattr(stats, factory, counting)
     return calls
 
 
@@ -499,16 +513,150 @@ def seeded_mixture(n_total, seed):
     return binomial_mixture(n_total, rng.random(), rng.random(), rng.random())
 
 
-@pytest.mark.parametrize("dataset, budget", [
-    (lambda: load_dataset("uniform11.json"), 80),
-    (lambda: seeded_mixture(300, seed=300), 200),
+@pytest.mark.parametrize("dataset, budget, screens", [
+    (lambda: load_dataset("uniform11.json"), 50, 17),
+    (lambda: seeded_mixture(300, seed=300), 10, 81),
 ], ids=["uniform11", "mixture-N300"])
-def test_mb_fit_evaluation_budget(monkeypatch, dataset, budget):
-    # counts, not timings: a search that regresses to hundreds of O(N) calls fails here
+def test_mb_fit_evaluation_budget(monkeypatch, dataset, budget, screens):
+    # counts, not timings: the grid is screened once per point, and exact O(N)
+    # evaluations go only to possible local minima, their neighbours and Brent
     data = dataset()
-    calls = count_rss_evaluations(monkeypatch)
+    calls = count_calls(monkeypatch, "_rss_evaluator")
+    screened = count_calls(monkeypatch, "_rss_screen")
     fit_distribution(data, "MB")
     assert 0 < len(calls) <= budget
+    assert len(screened) == screens
+
+
+def screen_observations(n_total, seed, zeros):
+    """N + 1 draws from [0, 1), each replaced by 0.0 with probability ``zeros``."""
+    rng = random.Random(seed)
+    return tuple(0.0 if rng.random() < zeros else rng.random() for _ in range(n_total + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_total=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32),
+    zeros=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    step=st.integers(min_value=0, max_value=10**6),
+    p1=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(n_total=300, seed=0, zeros=1.0, step=0, p1=1e-300)
+@example(n_total=400, seed=0, zeros=1.0, step=10**6, p1=1.0 - 2.0**-53)
+def test_rss_screen_encloses_the_exact_rss(n_total, seed, zeros, step, p1):
+    observed = screen_observations(n_total, seed, zeros)
+    if zeros == 1.0:  # a point mass at one end
+        observed = (1.0,) + observed[1:] if step % 2 else observed[:-1] + (1.0,)
+    rss_at = stats._rss_evaluator(n_total, observed)
+    screen = stats._rss_screen(n_total, observed)
+    cells = 16 * math.ceil(math.sqrt(n_total) / 4.0)
+    for point in (0.0, 1.0, (step % (cells + 1)) / cells, p1):
+        value, bound = screen(point)
+        assert 0.0 <= bound < math.inf
+        assert abs(value - rss_at(point)) <= bound
+
+
+@pytest.mark.parametrize("n_total", [60, 400, 1000])
+def test_rss_screen_bounds_a_point_mass_beside_its_window(n_total):
+    # the outside bound's worst case: all the mass on the first term past a window edge
+    for i in range(65):
+        p1 = i / 64
+        mean = n_total * p1
+        width = stats._SCREEN_SIGMAS * math.sqrt(mean * (1.0 - p1)) + 1.0
+        for at in (math.floor(mean - width) - 1, math.ceil(mean + width) + 1):
+            if 0 <= at <= n_total:
+                observed = tuple(1.0 if n == at else 0.0 for n in range(n_total + 1))
+                value, bound = stats._rss_screen(n_total, observed)(p1)
+                assert abs(value - stats._rss_evaluator(n_total, observed)(p1)) <= bound
+
+
+def all_exact_grid_fit(dataset):
+    """The MB fit with every grid point evaluated exactly: its Brent starts and its (rss, p1).
+
+    The fit's grid and local-minimum rule before it screened the grid; Brent
+    runs to its bracket.
+    """
+    big_n = dataset.n_total
+    rss_at = stats._rss_evaluator(big_n, dataset.observed)
+    cells = 16 * math.ceil(math.sqrt(big_n) / 4.0)
+    grid = [(rss_at(i / cells), i / cells) for i in range(cells + 1)]
+    starts = []
+    for i, (rss, p1) in enumerate(grid):
+        left, right = grid[max(i - 1, 0)], grid[min(i + 1, cells)]
+        if rss <= left[0] and rss <= right[0]:
+            starts.append((left[1], right[1], p1, rss))
+    refined = [brent_minimize(rss_at, *start) for start in starts]
+    return starts, min(grid + refined)
+
+
+def differential_dataset(kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    n_total = rng.randint(1, 60) if seed % 10 else rng.randint(61, 400)
+    if kind == "mixture":
+        return binomial_mixture(n_total, rng.random(), rng.random(), rng.random(),
+                                tuple(rng.uniform(-0.3, 0.3) for _ in range(n_total + 1)))
+    if kind == "binomial-and-linear":
+        weight, mb, be = rng.random(), rng.random(), rng.random()
+        first = pmf_vector(DistParams(family="MB", p1=mb, n_total=n_total))
+        second = pmf_vector(DistParams(family="BE", p1=be, n_total=n_total))
+        observed = [weight * x + (1.0 - weight) * y for x, y in zip(first, second)]
+    elif kind == "uniform":
+        observed = [1.0] * (n_total + 1)
+    elif kind == "half":
+        observed = pmf_vector(DistParams(family="MB", p1=0.5, n_total=n_total))
+    elif kind == "point-mass":
+        observed = [0.0] * (n_total + 1)
+        observed[rng.randint(0, n_total)] = 1.0
+    else:  # planted on a grid point
+        cells = 16 * math.ceil(math.sqrt(n_total) / 4.0)
+        p1 = rng.randint(0, cells) / cells
+        observed = pmf_vector(DistParams(family="MB", p1=p1, n_total=n_total))
+    total = _sum(observed)
+    return CountDataset(category=kind, n_total=n_total, observed=tuple(o / total for o in observed))
+
+
+@pytest.mark.parametrize("kind", [
+    "mixture", "binomial-and-linear", "uniform", "half", "point-mass", "grid-planted",
+])
+def test_screened_grid_matches_the_all_exact_grid(monkeypatch, kind):
+    # with the Brent stop off, screening must not change a single bit of the fit
+    monkeypatch.setattr(stats, "_STOP_ULPS", 0)
+    starts = []
+
+    def recording(f, lo, hi, x, fx, band, band_from):
+        assert band == 0.0
+        starts.append((lo, hi, x, fx))
+        return brent_minimize(f, lo, hi, x, fx, band, band_from)
+
+    monkeypatch.setattr(stats, "brent_minimize", recording)
+    for seed in range(170):
+        dataset = differential_dataset(kind, seed)
+        starts.clear()
+        fit = fit_distribution(dataset, "MB")
+        oracle_starts, oracle = all_exact_grid_fit(dataset)
+        assert starts == oracle_starts, (kind, seed)
+        assert (fit.rss, fit.params.p1) == oracle, (kind, seed)
+
+
+def test_mb_exact_fit_runs_past_the_brent_stop():
+    # an exact fit's RSS falls by orders of magnitude per probe, so it never meets the stop
+    fit = fit_distribution(load_dataset("mb_exact_n9.json"), "MB")
+    assert fit.params.p1 == 0.57
+    assert fit.rss == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(dataset=mixtures())
+@example(dataset=load_dataset("uniform11.json"))
+@example(dataset=binomial_mixture(24, 1.0, 0.2979344233126421, 0.2979344233126421))
+@example(dataset=seeded_mixture(300, seed=300))
+def test_brent_stop_costs_at_most_the_rounding_floor(dataset):
+    fit = fit_distribution(dataset, "MB")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_STOP_ULPS", 0)
+        full = fit_distribution(dataset, "MB")
+    assert abs(fit.rss - full.rss) <= 4 * (dataset.n_total + 1) * 2.0**-52 * full.rss
 
 
 def exact_be_minimiser(observed):
