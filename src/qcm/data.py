@@ -85,8 +85,9 @@ def _load_json(text: str, what: str):
 
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
-        # a string holding an unpaired surrogate escape cannot be encoded as text
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        # an unpaired surrogate, which cannot be encoded, needs a \u escape or non-ASCII text
+        if "\\u" in text or not text.isascii():
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: invalid JSON: {exc}") from None
     except (RecursionError, UnicodeEncodeError) as exc:

@@ -15,8 +15,9 @@ to [0, 1].  The MB RSS need not be unimodal, and its features narrow like
 1/sqrt(N): its fit takes the RSS on 16 * ceil(sqrt(N) / 4) equal cells of
 [0, 1], refines each grid point no higher than its neighbours by Brent's
 method, and keeps the least point found.  That is deterministic but not
-proven global.  A screen encloses each grid point's RSS in an interval
-from the terms near N p1 alone; the exact O(N) RSS is computed only at
+proven global.  A screen encloses each grid point's RSS in a proven
+interval from the terms near N p1 alone, walked by the binomial ratio
+recurrence from one exact term.  The exact O(N) RSS is computed only at
 points whose interval does not lie above a neighbour's, and at their
 neighbours, so the local minima and the fit are those of the all-exact
 grid.  Each Brent search stops at a 1e-14 bracket or at the RSS's rounding
@@ -223,27 +224,35 @@ def _rss_screen(
     """A cheap enclosure of the MB RSS: p1 -> ``(value, bound)``.
 
     ``|value - rss_at(p1)| <= bound`` for the evaluator ``_rss_evaluator``
-    builds.  value sums ``rss_at``'s own terms x_n = C(N, n) p1^n q^(N-n)
-    only in a window [lo, hi] of _SCREEN_SIGMAS standard deviations plus one
-    around N p1, and takes sum(o_n^2) outside it from running sums.  The
-    bound holds because:
+    builds, whose terms x_n lie within 16 u relative and 2^(N - 1072)
+    absolute of X_n = C(N, n) p1^n q^(N-n) in real arithmetic (u = 2^-53).
+    value sums (y_n - o_n)^2 over a window [lo, hi] of _SCREEN_SIGMAS
+    standard deviations plus one around N p1, and sum(o_n^2) outside it from
+    running sums.  y walks the window by y_{n+1} = y_n (N - n) / (n + 1) p1 / q
+    from ``rss_at``'s term at lo, or by its mirror image from hi if p1 > 1/2,
+    so no step divides by less than 1/2.  With e = (32 + 4 (hi - lo)) 2^-52:
 
-    * outside the window, (x - o)^2 differs from o^2 by at most x (x + 2 o);
-    * the window holds the mode, and binomial terms fall away from it (their
-      ratio x_{n+1} / x_n = (N - n) p1 / ((n + 1) q) decreases in n), so each
-      such x is at most the window's edge term, widened for the terms'
-      relative rounding (< 16 ulps) and for underflow (< 2^(N - 1072) each);
-    * the two sums each round by at most (N + 4) ulps of their total.
+    * the start term is at least e^-58 / (N + 1) (method of types, KL <=
+      chi^2) and its powers at least 2^-838, so for N <= 1029 nothing
+      underflows while the terms rise, and each later step's underflow
+      (< 3 * 2^-1075) only shrinks.  At four roundings a step, |y_n - x_n|
+      <= e X_n + 2^(N - 1071), twice the first order 16 u + 16 u + 4 u a step;
+    * then by Cauchy-Schwarz, as sum(X_n^2) <= 1, the window's (y - o)^2 -
+      (x - o)^2 = (y - x) (y + x - 2 o) add up to at most d (2 sqrt(value)
+      + d) in magnitude, d = e + 2^(N - 1071) sqrt(N + 1);
+    * outside it, (x - o)^2 differs from o^2 by at most x (x + 2 o), and
+      x <= (y + 2^(N - 1071)) (1 + e) for the window's edge term y, since
+      the window holds the mode and binomial terms fall away from it;
+    * the two sums each round by at most (N + 4) u of their total.
     """
     row = _binomial_row(big_n)
-    rows = tuple(zip(row, range(big_n + 1), range(big_n, -1, -1), observed))
-    squares = [o * o for o in observed]
-    squares_before = list(accumulate(squares, initial=0.0))
-    squares_after = list(accumulate(reversed(squares), initial=0.0))[::-1]
+    ratios = [(big_n - n) / (n + 1) for n in range(big_n)]
+    squares_before = list(accumulate((o * o for o in observed), initial=0.0))
+    squares_after = list(accumulate((o * o for o in reversed(observed)), initial=0.0))[::-1]
     mass_before = list(accumulate(observed, initial=0.0))
     mass_after = list(accumulate(reversed(observed), initial=0.0))[::-1]
-    underflow = 2.0 * math.ldexp(1.0, big_n - 1072)
-    widen = 1.0 + 2.0**-46
+    underflow = math.ldexp(1.0, big_n - 1071)
+    spread = underflow * math.sqrt(big_n + 1)
     rounding = (big_n + 16) * _EPS
 
     def screen(p1: float) -> tuple[float, float]:
@@ -252,17 +261,23 @@ def _rss_screen(
         width = _SCREEN_SIGMAS * math.sqrt(mean * q) + 1.0
         lo = max(math.floor(mean - width), 0)
         hi = min(math.ceil(mean + width), big_n)
-        value = squares_before[lo]
-        for c, n, m, o in rows[lo : hi + 1]:
-            value += (c * p1**n * q**m - o) ** 2
+        if p1 <= 0.5:
+            n, step, walk = lo, p1 / q, zip(ratios[lo:hi], observed[lo + 1 : hi + 1])
+        else:  # downward, x_{n-1} / x_n = ratios[N - n] * q / p1
+            n, step, walk = hi, q / p1, zip(ratios[big_n - hi : big_n - lo], observed[hi - 1 :: -1])
+        head = x = row[n] * p1**n * q ** (big_n - n)
+        value = squares_before[lo] + (x - observed[n]) ** 2
+        for ratio, o in walk:
+            x *= ratio * step
+            d = x - o
+            value += d * d
         value += squares_after[hi + 1]
-        outside = 0.0
-        if lo > 0:
-            edge = (row[lo] * p1**lo * q ** (big_n - lo) + underflow) * widen
-            outside += edge * (lo * edge + 2.0 * mass_before[lo])
-        if hi < big_n:
-            edge = (row[hi] * p1**hi * q ** (big_n - hi) + underflow) * widen
-            outside += edge * ((big_n - hi) * edge + 2.0 * mass_after[hi + 1])
+        error = (32 + 4 * (hi - lo)) * _EPS
+        low, high = (head, x) if p1 <= 0.5 else (x, head)
+        low, high = (low + underflow) * (1.0 + error), (high + underflow) * (1.0 + error)
+        outside = (low * (lo * low + 2.0 * mass_before[lo])
+                   + high * ((big_n - hi) * high + 2.0 * mass_after[hi + 1])
+                   + (error + spread) * (2.0 * math.sqrt(value) + error + spread))
         return value, outside + rounding * (value + 2.0 * outside)
 
     return screen
@@ -276,9 +291,8 @@ def fit_distribution(data: CountDataset, family: str) -> DistFit:
     clipped to [0, 1].  MB: the least ``(rss, p1)`` over a grid of
     16 * ceil(sqrt(N) / 4) equal cells, endpoints included, and a Brent search
     from each grid point no higher than its neighbours, over the cells beside
-    it.  ``_rss_screen`` rules out the grid points it proves higher than a
-    neighbour without their exact RSS, which leaves the local minima as they
-    are.  Each search runs to a 1e-14 bracket, or until two successive probes
+    it; ``_rss_screen`` proves most other points higher without their exact
+    RSS.  Each search runs to a 1e-14 bracket, or until two successive probes
     come within _STOP_ULPS * (N + 1) ulps (relative) of the incumbent RSS, the
     evaluator's own rounding; that stop applies only at RSS values where the
     band is wider than the evaluator's rounding error.  An exact fit's RSS

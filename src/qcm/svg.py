@@ -4,12 +4,14 @@ Hand-rolled on purpose: plotting libraries embed timestamps, library
 versions, and font metrics in their SVG output, which breaks byte-stable
 golden files.  Coordinates are fixed-format decimals, the palette and
 layout are constants, and the output depends only on the chart data.
+Bars and category labels are emitted per chart, by one ``%``-format.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from html import escape
+from itertools import chain
 
 from .data import Record
 
@@ -59,9 +61,6 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
         hi = lo + 1.0
     span = hi - lo
 
-    def y_of(value: float) -> float:
-        return plot_top + (hi - value) / span * plot_height
-
     parts.append(
         f'<text x="{_fmt(plot_left)}" y="{_fmt(y_offset + 20)}" '
         f'font-size="14" font-weight="bold">{escape(chart.title, quote=False)}</text>'
@@ -72,15 +71,16 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
         f'x2="{_fmt(plot_left)}" y2="{_fmt(plot_top + plot_height)}" '
         f'stroke="#444444" stroke-width="1"/>'
     )
-    zero_y = y_of(0.0)
+    zero_y = plot_top + hi / span * plot_height
     parts.append(
         f'<line x1="{_fmt(plot_left)}" y1="{_fmt(zero_y)}" '
         f'x2="{_fmt(plot_left + plot_width)}" y2="{_fmt(zero_y)}" '
         f'stroke="#444444" stroke-width="1"/>'
     )
-    for bound, value in (("max", hi), ("min", lo)):
+    for value in (hi, lo):
         parts.append(
-            f'<text x="{_fmt(plot_left - 6)}" y="{_fmt(y_of(value) + 4)}" '
+            f'<text x="{_fmt(plot_left - 6)}" '
+            f'y="{_fmt(plot_top + (hi - value) / span * plot_height + 4)}" '
             f'font-size="10" text-anchor="end">{_fmt(value)}</text>'
         )
 
@@ -88,20 +88,20 @@ def _render_chart(chart: Chart, y_offset: float, parts: list[str]) -> None:
     n_ser = max(1, len(chart.series))
     slot = plot_width / max(1, n_cat)
     bar = slot * 0.8 / n_ser
-    label_y = plot_top + plot_height + 16
-    for ci, category in enumerate(chart.categories):
-        slot_left = plot_left + ci * slot + slot * 0.1
-        for si, series in enumerate(chart.series):
-            y = y_of(series.values[ci])
-            parts.append(
-                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
-                % (slot_left + si * bar, min(y, zero_y), bar, abs(y - zero_y),
-                   PALETTE[si % len(PALETTE)])
-            )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-size="10" text-anchor="middle">%s</text>'
-            % (plot_left + ci * slot + slot / 2, label_y, escape(category, quote=False))
-        )
+    # one row per category: each series' bar, then the category label
+    row, columns = [], []
+    for si, series in enumerate(chart.series):
+        row.append('<rect x="%%.2f" y="%%.2f" width="%.2f" height="%%.2f" fill="%s"/>'
+                   % (bar, PALETTE[si % len(PALETTE)]))
+        ys = [plot_top + (hi - value) / span * plot_height for value in series.values]
+        columns += ([plot_left + ci * slot + slot * 0.1 + si * bar for ci in range(n_cat)],
+                    [min(y, zero_y) for y in ys], [abs(y - zero_y) for y in ys])
+    row.append('<text x="%%.2f" y="%.2f" font-size="10" text-anchor="middle">%%s</text>'
+               % (plot_top + plot_height + 16))
+    columns += ([plot_left + ci * slot + slot / 2 for ci in range(n_cat)],
+                [escape(category, quote=False) for category in chart.categories])
+    if n_cat:
+        parts.append("\n".join(["\n".join(row)] * n_cat) % tuple(chain(*zip(*columns))))
 
     legend_x = plot_left
     for si, series in enumerate(chart.series):

@@ -209,6 +209,9 @@ class TestExitCodes:
             ("stats-fit", '{"category": "x", "N": 1, "observed": [%s, 0]}' % _HUGE_INT),
             ("classicality", '[{"exemplar": "x", "muA": %s, "muB": 0, "muAorB": 0}]' % _HUGE_INT),
             ("classicality", '[{"exemplar": "\\ud800", "muA": 0, "muB": 0, "muAorB": 0}]'),
+            ("classicality", '[{"exemplar": "\\uD800", "muA": 0, "muB": 0, "muAorB": 0}]'),
+            ("stats-fit", '{"category": "x", "N": 1, "observed": [0.5, 0.5], "\\udfff": 1}'),
+            ("stats-fit", '{"category": "\\udc00", "N": 1, "observed": [0.5, 0.5]}'),
             ("classicality", "[" * 100_000 + "]" * 100_000),
             ("report", '{"runs": [{"command": ["chsh"], "input": "x"}]}'),
             ("report", '{"runs": [{"command": "chsh", "input": "x\\u0000"}]}'),
@@ -217,8 +220,9 @@ class TestExitCodes:
         ],
         ids=[
             "observed-not-array", "observed-null", "observed-string", "observed-huge-int",
-            "weight-huge-int", "lone-surrogate", "deep-nesting", "command-array", "path-nul",
-            "name-not-string", "csv-field-over-limit",
+            "weight-huge-int", "lone-surrogate", "lone-surrogate-upper-case",
+            "lone-surrogate-key", "lone-surrogate-category", "deep-nesting", "command-array",
+            "path-nul", "name-not-string", "csv-field-over-limit",
         ],
     )
     def test_malformed_values_are_data_errors(self, tmp_path, capsys, command, text):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -334,6 +333,8 @@ class TestLinearRegression:
             linear_regression([0, 1, 2], [0, 1, bad])
 
     def test_numpy_points_accepted(self):
+        import numpy as np  # test-only, and only here: the rest of the file runs without it
+
         expected = linear_regression([0, 1, 2, 3, 4], [0.0, 2.0, 1.0, 3.0, 5.0])
         for xs, ys in (
             (np.arange(5), np.array([0.0, 2.0, 1.0, 3.0, 5.0])),
@@ -534,20 +535,35 @@ def screen_observations(n_total, seed, zeros):
     return tuple(0.0 if rng.random() < zeros else rng.random() for _ in range(n_total + 1))
 
 
+# the largest N whose binomial row fits in a float
+LARGEST_ROW = 1029
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    n_total=st.integers(min_value=1, max_value=400),
+    n_total=st.integers(min_value=1, max_value=LARGEST_ROW),
     seed=st.integers(min_value=0, max_value=2**32),
     zeros=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
     step=st.integers(min_value=0, max_value=10**6),
-    p1=st.floats(min_value=0.0, max_value=1.0),
+    p1=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e-9),
+        st.floats(min_value=1.0 - 1e-9, max_value=1.0),
+    ),
+    planted=st.booleans(),
 )
-@example(n_total=300, seed=0, zeros=1.0, step=0, p1=1e-300)
-@example(n_total=400, seed=0, zeros=1.0, step=10**6, p1=1.0 - 2.0**-53)
-def test_rss_screen_encloses_the_exact_rss(n_total, seed, zeros, step, p1):
+@example(n_total=300, seed=0, zeros=1.0, step=0, p1=1e-300, planted=False)
+@example(n_total=400, seed=0, zeros=1.0, step=10**6, p1=1.0 - 2.0**-53, planted=False)
+@example(n_total=LARGEST_ROW, seed=1, zeros=0.0, step=7, p1=0.5, planted=False)
+@example(n_total=LARGEST_ROW, seed=2, zeros=0.0, step=0, p1=1e-9, planted=True)
+@example(n_total=9, seed=3, zeros=0.0, step=0, p1=0.5692038748222122, planted=True)
+@example(n_total=2, seed=4, zeros=0.0, step=0, p1=0.0254458609934608, planted=True)
+def test_rss_screen_encloses_the_exact_rss(n_total, seed, zeros, step, p1, planted):
     observed = screen_observations(n_total, seed, zeros)
     if zeros == 1.0:  # a point mass at one end
         observed = (1.0,) + observed[1:] if step % 2 else observed[:-1] + (1.0,)
+    if planted:  # an exact fit at p1, where rss_at(p1) == 0.0 and the window's drift shows in full
+        observed = pmf_vector(DistParams(family="MB", p1=p1, n_total=n_total))
     rss_at = stats._rss_evaluator(n_total, observed)
     screen = stats._rss_screen(n_total, observed)
     cells = 16 * math.ceil(math.sqrt(n_total) / 4.0)
@@ -557,7 +573,7 @@ def test_rss_screen_encloses_the_exact_rss(n_total, seed, zeros, step, p1):
         assert abs(value - rss_at(point)) <= bound
 
 
-@pytest.mark.parametrize("n_total", [60, 400, 1000])
+@pytest.mark.parametrize("n_total", [60, 400, 1000, LARGEST_ROW])
 def test_rss_screen_bounds_a_point_mass_beside_its_window(n_total):
     # the outside bound's worst case: all the mass on the first term past a window edge
     for i in range(65):
