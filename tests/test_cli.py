@@ -742,6 +742,59 @@ def test_stdin_is_read_once(tmp_path, monkeypatch, capsys, argv, stdin, manifest
     assert f"qcm: error: {message}" in captured.err
 
 
+_FOCK_FIT_USAGE = (
+    "usage: qcm fock-fit [-h] --input INPUT [--mode {two-sector,general}]\n"
+    "                    [--policy {min-interference,min-m2}]\n"
+    "                    [--tolerance TOLERANCE] [--output {text,json}]\n"
+    "                    [--plot SVG_PATH]\n"
+)
+_BAD_MODE = "argument --mode: invalid choice: 'bogus' (choose from 'two-sector', 'general')"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, err",
+    [
+        ([], None, 1, "usage: qcm [-h] command ...\nqcm: error: a command is required\n"),
+        (["launch"], None, 1,
+         "usage: qcm [-h] command ...\nqcm: error: argument command: invalid choice: 'launch' "
+         "(choose from 'classicality', 'fock-fit', 'chsh', 'stats-fit', 'report')\n"),
+        (["stats-fit", "--input", "data/uniform11.json", "--tolerance", "0.5"], None, 1,
+         "usage: qcm stats-fit [-h] --input INPUT [--output {text,json}]\n"
+         "                     [--plot SVG_PATH]\n"
+         "qcm stats-fit: error: unrecognized arguments: --tolerance 0.5\n"),
+        (["fock-fit", "--input", "data/hampton.csv", "--mode", "bogus"], None, 1,
+         f"{_FOCK_FIT_USAGE}qcm fock-fit: error: {_BAD_MODE}\n"),
+        (["fock-fit", "--input", "data/goldfish.csv", "--mode", "general", "--policy", "min-m2"],
+         None, 1, "qcm: error: --policy applies only to --mode two-sector\n"),
+        (["chsh", "--input", "-", "--model", "-"], {}, 1,
+         "qcm: error: --input and --model cannot both read stdin\n"),
+        (["report", "--manifest", "-"], {"runs": [{"command": "classicality", "input": "-"}]}, 1,
+         "qcm: error: manifest run 1: input '-' reads stdin again\n"),
+        (["report", "--manifest", "-"],
+         {"runs": [{"command": "stats-fit", "input": "data/uniform11.json", "tolerance": 0.5}]}, 1,
+         "qcm: error: manifest run 1: stats-fit has no flag for keys ['tolerance']\n"),
+        (["report", "--manifest", "-"],
+         {"runs": [{"command": "fock-fit", "input": "data/hampton.csv", "mode": "bogus"}]}, 1,
+         f"{_FOCK_FIT_USAGE}qcm fock-fit: error: manifest run 1: {_BAD_MODE}\n"),
+        (["stats-fit", "--input", "-"], {"category": "c", "N": 0, "observed": [1]}, 1,
+         "qcm: error: count dataset 0: dataset 'c': N must be an integer >= 1, got 0\n"),
+        (["classicality", "--input", "missing.csv"], None, 2,
+         "qcm: i/o error: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-subcommand-flag", "bad-mode",
+         "policy-with-general", "chsh-stdin-twice", "run-reads-stdin-again", "run-unknown-key",
+         "run-bad-mode", "data-error", "io-error"],
+)
+def test_error_line_is_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, argv, stdin, code, err):
+    # argparse wraps usage text to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 class TestRequiredSubstrings:
     def test_chsh_value_line(self):
         proc = run_cli(["chsh", "--input", "data/animal_acts_table.json"])
