@@ -20,7 +20,10 @@ are built only for ``--plot``.  A membership table's format, CSV or JSON, is
 read from its content, not from a flag or the file name.
 
 Exit codes: 0 success, 1 bad data or usage (a ``QcmError``), 2 I/O error;
-any other exception is a bug and keeps its traceback.
+any other exception is a bug and keeps its traceback.  ``main`` builds every
+error line, ``{usage}{prog}: error: {message}``: only a ``UsageError`` carries
+usage text and a subcommand's prog, and an error raised by a report's run
+gets the run's name prefixed to its message.
 """
 
 from __future__ import annotations
@@ -50,7 +53,12 @@ _PROG = "qcm"
 
 
 class UsageError(QcmError):
-    """Bad flags or subcommand; rendered with usage text, exit code 1."""
+    """Bad flags or subcommand, exit code 1; ``main`` writes ``usage`` and ``prog``
+    before the message."""
+
+    def __init__(self, message: str, usage: str = "", prog: str = _PROG):
+        super().__init__(message)
+        self.usage, self.prog = usage, prog
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise UsageError(message, self.format_usage(), self.prog)
 
 
 def _fmt(value: float) -> str:
@@ -230,7 +238,7 @@ def _render_classicality(payload: dict) -> list[str]:
 
 def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     if args.mode == "general" and args.policy is not None:  # the general fit has one policy
-        raise UsageError(f"{_PROG}: error: --policy applies only to --mode two-sector")
+        raise UsageError("--policy applies only to --mode two-sector")
     policy = args.policy or "min-interference"
     tolerance = _resolve_tolerance(args.tolerance, fock.FIT_TOLERANCE)
     records = parse_membership_table(_read_input(args.input))
@@ -266,7 +274,7 @@ def _cmd_fock_fit(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                 )
     else:
         for record in records:
-            if not (record.negation_complete() and record.has("muAandB")):
+            if not record.negation_complete():
                 continue
             result = fock.fit_general_quadruple(record, tolerance)
             pairs = {}
@@ -389,7 +397,7 @@ _EXPECTATION_LABELS = {
 
 def _cmd_chsh(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
     if args.input == "-" and args.model == "-":
-        raise UsageError(f"{_PROG}: error: --input and --model cannot both read stdin")
+        raise UsageError("--input and --model cannot both read stdin")
     tolerance = _resolve_tolerance(args.tolerance, hilbert.MARGINAL_TOLERANCE)
     table = parse_coincidence(_read_input(args.input))
     name = _input_name(args.input)
@@ -577,21 +585,17 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
                 value = str(value)
                 if key in ("input", "model"):
                     if value == "-" and stdin_read:
-                        raise UsageError(f"{_PROG}: error: {key} '-' reads stdin again")
+                        raise UsageError(f"{key} '-' reads stdin again")
                     stdin_read = stdin_read or value == "-"
                     value = resolve(value)
                 flags[f"--{key}={value}"] = key
             sub_args, unknown = _build_parser().parse_known_args([command, *flags])
             if unknown:
                 keys = [flags[arg] for arg in unknown]
-                raise UsageError(f"{_PROG}: error: {command} has no flag for keys {keys}")
+                raise UsageError(f"{command} has no flag for keys {keys}")
             payload, charts = _COMMANDS[command][0](sub_args, plot)
-        except (QcmError, OSError) as exc:  # name the run, after a usage error's "PROG: error: "
-            prefix, message = "", str(exc)
-            if isinstance(exc, UsageError):
-                head, sep, message = message.partition(": error: ")
-                prefix = head + sep
-            message = f"{prefix}manifest run {index}: {message}"
+        except (QcmError, OSError) as exc:  # name the run
+            message = f"manifest run {index}: {exc}"
             if isinstance(exc, OSError):  # whose str ignores args once errno is set
                 raise OSError(message) from exc
             exc.args = (message,)
@@ -691,11 +695,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
-    except QcmError as exc:
-        sys.stderr.write(f"{_PROG}: error: {exc}\n")
+    except QcmError as exc:  # the one place an error line is built
+        head = f"{exc.usage}{exc.prog}" if isinstance(exc, UsageError) else _PROG
+        sys.stderr.write(f"{head}: error: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"{_PROG}: i/o error: {exc}\n")

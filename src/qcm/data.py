@@ -13,7 +13,8 @@ All types are ``Record`` subclasses, immutable after construction and
 fully validated in ``__post_init__``, which holds each field's one
 validator; ``Record.as_dict`` holds the one rule for their JSON keys.
 Every bounded number in qcm, field or argument, goes through
-``_check_range``, or ``_check_positive`` for a tolerance or a confidence.
+``_check_range``, or ``_check_positive`` for a tolerance or a confidence;
+every text field through ``_check_text``, every count N through ``_check_count``.
 Parsers take ``str`` and return validated values or raise a ``QcmError``.
 
 CSV schema (header mandatory, UTF-8): the only accepted column names are
@@ -37,23 +38,6 @@ import math
 from .errors import DataValidationError, IncompleteRecordError, SchemaError
 
 _TEXT_COLUMNS = ("exemplar", "conceptA", "conceptB")
-
-_COLUMN_TO_ATTR = {
-    "exemplar": "exemplar",
-    "conceptA": "concept_a",
-    "conceptB": "concept_b",
-    "muA": "mu_a",
-    "muB": "mu_b",
-    "muAp": "mu_ap",
-    "muBp": "mu_bp",
-    "muAandB": "mu_a_and_b",
-    "muAandBp": "mu_a_and_bp",
-    "muApandB": "mu_ap_and_b",
-    "muApandBp": "mu_ap_and_bp",
-    "muAorB": "mu_a_or_b",
-}
-
-MEMBERSHIP_COLUMNS = tuple(_COLUMN_TO_ATTR)
 
 # combination weights: a record must carry at least one of these
 _COMBINATION_COLUMNS = ("muAandB", "muAandBp", "muApandB", "muApandBp", "muAorB")
@@ -143,9 +127,23 @@ def _check_positive(value, label: str, hi: float = math.inf) -> float:
     return value
 
 
-def _camel_case(name: str) -> str:  # m2_min -> m2Min
+def _check_text(value, label: str) -> str:
+    """The one rule for a text field: a ``str``."""
+    if not isinstance(value, str):
+        raise DataValidationError(f"{label} must be a string, got {value!r:.40}")
+    return value
+
+
+def _check_count(value, label: str) -> int:
+    """The one rule for a count N of instances: an integer >= 1, never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DataValidationError(f"{label} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _json_key(name: str) -> str:  # m2_min -> m2Min, mu_ap_and_b -> muApandB
     first, *rest = name.split("_")
-    return first + "".join(word[:1].upper() + word[1:] for word in rest)
+    return first + "".join(w if w in ("and", "or") else w[:1].upper() + w[1:] for w in rest)
 
 
 class Record:
@@ -154,6 +152,10 @@ class Record:
 
     A subclass's fields, listed in ``_fields``, are the names annotated in its
     own body, and a class attribute of the same name is a field's default.
+    Its JSON keys, in ``_keys``, are the field names in camelCase with the
+    connectives ``and`` and ``or`` kept in lower case: ``mu_a`` is ``muA`` and
+    ``mu_ap_and_b`` is ``muApandB``, so a membership record's keys are its
+    table's column names.
     ``__init__`` takes fields by position or keyword and calls
     ``__post_init__``, which may normalise a field with ``object.__setattr__``.
     Records compare, hash and ``repr`` by their fields as a dataclass does; a
@@ -163,7 +165,7 @@ class Record:
     def __init_subclass__(cls, eq: bool = True):
         cls._fields = tuple(cls.__annotations__)
         cls._field_set = frozenset(cls._fields)
-        cls._keys = tuple(_camel_case(name) for name in cls._fields)
+        cls._keys = tuple(_json_key(name) for name in cls._fields)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
@@ -199,7 +201,7 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def as_dict(self) -> dict:
-        """The fields, in order, under the camelCase keys a JSON payload gives them."""
+        """The fields, in order, under their ``_keys``, the keys a JSON payload gives them."""
         return {key: getattr(self, name) for key, name in zip(self._keys, self._fields)}
 
     def _astuple(self) -> tuple:
@@ -242,9 +244,7 @@ class MembershipRecord(Record):
 
     def __post_init__(self):
         for column in _TEXT_COLUMNS:
-            value = getattr(self, _COLUMN_TO_ATTR[column])
-            if not isinstance(value, str):
-                raise DataValidationError(f"{column} must be a string, got {value!r:.40}")
+            _check_text(getattr(self, _COLUMN_TO_ATTR[column]), column)
         for column, attr in _COLUMN_TO_ATTR.items():
             value = getattr(self, attr)
             if value is None or column in _TEXT_COLUMNS:
@@ -286,6 +286,11 @@ class MembershipRecord(Record):
         """True when all eight weights of the negation quadruple are present."""
         return self.has("muA", "muB", "muAp", "muBp",
                         "muAandB", "muAandBp", "muApandB", "muApandBp")
+
+
+_COLUMN_TO_ATTR = dict(zip(MembershipRecord._keys, MembershipRecord._fields))
+
+MEMBERSHIP_COLUMNS = (*_TEXT_COLUMNS, *(c for c in _COLUMN_TO_ATTR if c not in _TEXT_COLUMNS))
 
 
 def _record_from_fields(fields: dict, context: str) -> MembershipRecord:
@@ -377,9 +382,7 @@ class CoincidenceOutcome(Record):
 
     def __post_init__(self):
         for name in ("first", "second"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise DataValidationError(f"outcome {name} must be a string, got {value!r:.40}")
+            _check_text(getattr(self, name), f"outcome {name}")
         if type(self.sign) is not int or self.sign not in (1, -1):  # a bool is not a sign
             raise DataValidationError(
                 f"outcome ({self.first!r}, {self.second!r}): sign must be the integer "
@@ -475,16 +478,15 @@ class CountDataset(Record):
     SUM_TOLERANCE = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.category, str):
-            raise DataValidationError(f"category must be a string, got {self.category!r:.40}")
-        if not isinstance(self.n_total, int) or isinstance(self.n_total, bool) or self.n_total < 1:
-            raise DataValidationError(
-                f"dataset {self.category!r}: N must be an integer >= 1, got {self.n_total!r}"
-            )
-        observed = tuple(
-            _check_range(v, f"dataset {self.category!r}: observed[{n}]", 0.0, math.inf)
-            for n, v in enumerate(self.observed)
-        )
+        _check_text(self.category, "category")
+        _check_count(self.n_total, f"dataset {self.category!r}: N")
+        observed = []
+        for n, value in enumerate(self.observed):
+            try:
+                observed.append(_check_range(value, "observed", 0.0, math.inf))
+            except DataValidationError:  # label a value only once it fails, then raise with it
+                _check_range(value, f"dataset {self.category!r}: observed[{n}]", 0.0, math.inf)
+        observed = tuple(observed)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         if len(self.state_labels) != 2 or not all(isinstance(s, str) for s in self.state_labels):

@@ -236,6 +236,13 @@ class FitResult(Record):
             )
 
 
+def _fit_result(params, predictions, targets, family, policy, tolerance) -> FitResult:
+    """Both fits' one residual rule: the largest miss of a target by its prediction."""
+    residual = max(abs(p.value - t) for p, t in zip(predictions, targets))
+    return FitResult(params=params, residual=residual, feasible=residual <= tolerance,
+                     family=family, policy=policy, tolerance=tolerance, predictions=predictions)
+
+
 def fit_two_sector(
     mu_a: float,
     mu_b: float,
@@ -273,14 +280,6 @@ def fit_two_sector(
     offset = target - avg  # sector-1 shift the interference must supply at m2=0
     span = logical - avg
 
-    def result(m2: float, theta_rad: float, feasible_set: FeasibleSet) -> FitResult:
-        params = FockParams(m2=m2, n2=1.0 - m2, theta_rad=theta_rad, connective=connective)
-        prediction = eval_two_sector(mu_a, mu_b, params)
-        residual = abs(prediction.value - target)
-        return FitResult(params=params, residual=residual, feasible=residual <= tolerance,
-                         family=feasible_set, policy=policy, tolerance=tolerance,
-                         predictions=(prediction,))
-
     # for s = +1 and -1 the condition reads m2*(I - s*span) <= I - s*offset:
     # a bound at the root (s*I - offset) / (s*I - span), upper when
     # I > s*span, lower when I < s*span, and all or nothing when they are equal
@@ -304,9 +303,8 @@ def fit_two_sector(
         end = hi_attain if target > hi_attain else lo_attain
         m2, theta = (1.0, math.pi / 2) if end == logical else (0.0, 0.0 if target > avg else math.pi)
         note = f"no exact solution; attainable range [{lo_attain:.6g}, {hi_attain:.6g}]"
-        return result(m2, theta, FeasibleSet(kind="empty", note=note))
-
-    if interf <= _EPS:
+        family = FeasibleSet(kind="empty", note=note)
+    elif interf <= _EPS:
         # interference term dead: value = m2*logical + (1-m2)*avg, theta free
         if abs(span) <= _EPS:
             note = "interference weight 0 and logical = average: any (m2, theta) works"
@@ -315,24 +313,27 @@ def fit_two_sector(
             m2 = min(max(offset / span, 0.0), 1.0)
             note = "interference weight 0: m2 fixed, theta unconstrained"
             family = FeasibleSet(kind="point", m2_min=m2, m2_max=m2, note=note)
-        return result(family.m2_min, math.pi / 2, family)
-
-    # |cos theta| grows with m2 on [0, 1) unless it crosses zero at offset/span
-    # (span != 0 here: |span| >= I*(1-I) > 0)
-    zero = offset / span
-    if policy == "min-interference" and m2_lo - _EPS <= zero <= m2_hi + _EPS:
-        m2, theta = min(max(zero, m2_lo), m2_hi), math.pi / 2
-    elif m2_lo < 1.0:
-        cos_theta = (offset - span * m2_lo) / ((1.0 - m2_lo) * interf)
-        m2, theta = m2_lo, math.acos(min(max(cos_theta, -1.0), 1.0))
+        m2, theta = family.m2_min, math.pi / 2
     else:
-        m2, theta = 1.0, math.pi / 2
-    if abs(offset - span) <= _EPS:
-        note = "cos(theta) constant across m2; m2=1 reproduces the target exactly"
-    else:
-        note = "theta(m2) = acos((target - avg - m2*(logical - avg)) / ((1-m2)*I))"
-    kind = "point" if m2_lo == m2_hi else "curve"  # the ends are already snapped
-    return result(m2, theta, FeasibleSet(kind=kind, m2_min=m2_lo, m2_max=m2_hi, note=note))
+        # |cos theta| grows with m2 on [0, 1) unless it crosses zero at offset/span
+        # (span != 0 here: |span| >= I*(1-I) > 0)
+        zero = offset / span
+        if policy == "min-interference" and m2_lo - _EPS <= zero <= m2_hi + _EPS:
+            m2, theta = min(max(zero, m2_lo), m2_hi), math.pi / 2
+        elif m2_lo < 1.0:
+            cos_theta = (offset - span * m2_lo) / ((1.0 - m2_lo) * interf)
+            m2, theta = m2_lo, math.acos(min(max(cos_theta, -1.0), 1.0))
+        else:
+            m2, theta = 1.0, math.pi / 2
+        if abs(offset - span) <= _EPS:
+            note = "cos(theta) constant across m2; m2=1 reproduces the target exactly"
+        else:
+            note = "theta(m2) = acos((target - avg - m2*(logical - avg)) / ((1-m2)*I))"
+        kind = "point" if m2_lo == m2_hi else "curve"  # the ends are already snapped
+        family = FeasibleSet(kind=kind, m2_min=m2_lo, m2_max=m2_hi, note=note)
+    params = FockParams(m2=m2, n2=1.0 - m2, theta_rad=theta, connective=connective)
+    prediction = eval_two_sector(mu_a, mu_b, params)
+    return _fit_result(params, (prediction,), (target,), family, policy, tolerance)
 
 
 MARGINAL_SLACK = 0.05  # how far the alpha marginals may stray from mu(A), mu(B)
@@ -459,31 +460,6 @@ def fit_general_quadruple(
     interfs = {k: interference_magnitude(*marginals[k]) for k in BLOCKS}
     delta = MARGINAL_SLACK
 
-    def result(alphas, pairs, family: FeasibleSet) -> FitResult:
-        pair_params = {
-            key: PairParams(
-                m2=m2, n2=1.0 - m2, alpha=min(max(alpha, 0.0), 1.0), beta=beta, phi_rad=phi
-            )
-            for key, alpha, (m2, beta, phi) in zip(BLOCKS, alphas, pairs)
-        }
-        params = GeneralFockParams(
-            ab=pair_params["AB"],
-            abp=pair_params["ABp"],
-            apb=pair_params["ApB"],
-            apbp=pair_params["ApBp"],
-        )
-        predictions = tuple(eval_general_record(record, params).values())
-        residual = max(abs(p.value - targets[k]) for k, p in zip(BLOCKS, predictions))
-        return FitResult(
-            params=params,
-            residual=residual,
-            feasible=residual <= tolerance,
-            family=family,
-            policy="min-interference",
-            tolerance=tolerance,
-            predictions=predictions,
-        )
-
     # classical shortcut: the conjunction weights themselves as sector-2 atoms
     atoms = tuple(targets[k] for k in BLOCKS)
     if (
@@ -491,66 +467,59 @@ def fit_general_quadruple(
         and abs(atoms[0] + atoms[1] - mu_a) <= delta + _EPS
         and abs(atoms[0] + atoms[2] - mu_b) <= delta + _EPS
     ):
-        return result(
-            atoms,
-            [(1.0, 0.0, math.pi / 2)] * 4,
-            FeasibleSet(
-                kind="point",
-                note="pure sector-2 representation from the conjunction weights",
-            ),
+        alphas, pairs = atoms, [(1.0, 0.0, math.pi / 2)] * 4
+        note = "pure sector-2 representation from the conjunction weights"
+        family = FeasibleSet(kind="point", note=note)
+    else:
+        # alpha_XY = sign * a1 + f0 + f1*sa + f2*sb on the slice
+        forms = {
+            "AB": (1.0, (0.0, 0.0, 0.0)),
+            "ABp": (-1.0, (mu_a, 1.0, 0.0)),
+            "ApB": (-1.0, (mu_b, 0.0, 1.0)),
+            "ApBp": (1.0, (1.0 - mu_a - mu_b, -1.0, -1.0)),
+        }
+
+        def a1_bound(key: str, level: float, side: float):
+            # alpha_key >= level (side +1) or <= level (side -1), as a bound on a1
+            sign, (f0, f1, f2) = forms[key]
+            return side * sign > 0.0, (sign * (level - f0), -sign * f1, -sign * f2)
+
+        base = [a1_bound(key, 0.0, 1.0) for key in BLOCKS]  # every alpha >= 0
+        box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a),
+               max(-delta, -mu_b), min(delta, 1.0 - mu_b))
+        weights = {k: abs(targets[k] - avgs[k]) for k in BLOCKS}
+        movable = [k for k in BLOCKS if weights[k] > _EPS]
+        subsets = sorted(
+            (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
+            key=lambda subset: -_sum(weights[k] for k in subset),
         )
+        level, points = None, []  # the heaviest feasible weight level and its points
+        for subset in subsets:
+            weight = _sum(weights[k] for k in subset)
+            if level is not None and weight < level - _EPS:
+                break
+            sides = [(k, math.copysign(1.0, targets[k] - avgs[k])) for k in subset]
+            point = _least_slack_point(base + [a1_bound(k, targets[k], s) for k, s in sides], box)
+            if point is not None:
+                level = weight if level is None else level
+                points.append(point)
 
-    # alpha_XY = sign * a1 + f0 + f1*sa + f2*sb on the slice
-    forms = {
-        "AB": (1.0, (0.0, 0.0, 0.0)),
-        "ABp": (-1.0, (mu_a, 1.0, 0.0)),
-        "ApB": (-1.0, (mu_b, 0.0, 1.0)),
-        "ApBp": (1.0, (1.0 - mu_a - mu_b, -1.0, -1.0)),
-    }
-
-    def a1_bound(key: str, level: float, side: float):
-        # alpha_key >= level (side +1) or <= level (side -1), as a bound on a1
-        sign, (f0, f1, f2) = forms[key]
-        return side * sign > 0.0, (sign * (level - f0), -sign * f1, -sign * f2)
-
-    base = [a1_bound(key, 0.0, 1.0) for key in BLOCKS]  # every alpha >= 0
-    box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a), max(-delta, -mu_b), min(delta, 1.0 - mu_b))
-    weights = {k: abs(targets[k] - avgs[k]) for k in BLOCKS}
-    movable = [k for k in BLOCKS if weights[k] > _EPS]
-    subsets = sorted(
-        (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
-        key=lambda subset: -_sum(weights[k] for k in subset),
-    )
-    level, points = None, []  # the heaviest feasible weight level and its points
-    for subset in subsets:
-        weight = _sum(weights[k] for k in subset)
-        if level is not None and weight < level - _EPS:
-            break
-        point = _least_slack_point(
-            base
-            + [a1_bound(k, targets[k], math.copysign(1.0, targets[k] - avgs[k])) for k in subset],
-            box,
-        )
-        if point is not None:
-            level = weight if level is None else level
-            points.append(point)
-
-    _, sa, sb, a1 = min(points)  # the empty subset is always feasible at sa = sb = 0
-    ma, mb = mu_a + sa, mu_b + sb
-    alphas = (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
-    pairs = [
-        _solve_pair(targets[key], avgs[key], alpha, interfs[key])
-        for key, alpha in zip(BLOCKS, alphas)
-    ]
-    return result(
-        alphas,
-        pairs,
-        FeasibleSet(
-            kind="curve",
-            note="alpha simplex slice within the marginal slack; "
-            "canonical = least-interference representative",
-        ),
-    )
+        _, sa, sb, a1 = min(points)  # the empty subset is always feasible at sa = sb = 0
+        ma, mb = mu_a + sa, mu_b + sb
+        alphas = (a1, ma - a1, mb - a1, 1.0 - ma - mb + a1)
+        pairs = [
+            _solve_pair(targets[key], avgs[key], alpha, interfs[key])
+            for key, alpha in zip(BLOCKS, alphas)
+        ]
+        note = ("alpha simplex slice within the marginal slack; "
+                "canonical = least-interference representative")
+        family = FeasibleSet(kind="curve", note=note)
+    params = GeneralFockParams(*(  # its fields are the pairs, in BLOCKS order
+        PairParams(m2=m2, n2=1.0 - m2, alpha=min(max(alpha, 0.0), 1.0), beta=beta, phi_rad=phi)
+        for alpha, (m2, beta, phi) in zip(alphas, pairs)
+    ))
+    predictions = tuple(eval_general_record(record, params).values())
+    return _fit_result(params, predictions, atoms, family, "min-interference", tolerance)
 
 
 def joint_targets(record: MembershipRecord) -> tuple[float, float, float, float]:

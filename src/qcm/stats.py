@@ -43,7 +43,7 @@ import struct
 from collections.abc import Callable, Sequence
 from itertools import accumulate
 
-from .data import CountDataset, Record, _check_positive, _check_range, _sum
+from .data import CountDataset, Record, _check_count, _check_positive, _check_range, _sum
 from .errors import DataValidationError, InsufficientDataError
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
@@ -142,8 +142,7 @@ class DistParams(Record):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataValidationError(f"unknown family {self.family!r} (expected MB or BE)")
-        if not isinstance(self.n_total, int) or isinstance(self.n_total, bool) or self.n_total < 1:
-            raise DataValidationError(f"N must be an integer >= 1, got {self.n_total!r}")
+        _check_count(self.n_total, "N")
         object.__setattr__(self, "p1", _check_range(self.p1, "p1"))
 
 

@@ -5,6 +5,8 @@ properties are known exactly (classical joint distributions, local
 hidden-variable models, Born-rule product measurements); the oracles
 recompute model quantities by an independent method (grid search,
 alternating least squares) so fitter results are not self-certifying.
+The helpers that need numpy import it themselves, so the session starts
+on a Python without numpy.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
 import pytest
 
 from qcm import CoincidenceOutcome, CoincidenceTable, MembershipRecord
+
+if TYPE_CHECKING:  # for annotations only
+    import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -193,6 +197,8 @@ def local_model_table(rng: random.Random) -> CoincidenceTable:
 
 
 def _random_qubit_basis(rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(raw)
     # fix the phase so the basis is deterministic given the raw draw
@@ -205,6 +211,8 @@ def born_product_table(rng: np.random.Generator) -> CoincidenceTable:
     u_i (x) v_j with outcome sign s_i * t_j, the measurement structure for
     which the Tsirelson bound |CHSH| <= 2*sqrt(2) is a theorem.
     """
+    import numpy as np
+
     state = rng.normal(size=4) + 1j * rng.normal(size=4)
     state /= np.linalg.norm(state)
     bases_a = (_random_qubit_basis(rng), _random_qubit_basis(rng))
@@ -275,6 +283,8 @@ def two_sector_grid_check(
     the model is m2*logical + (1-m2)*(avg + I*cos(theta)), so m2 admits an
     exact solution iff |target - avg - m2*(logical - avg)| <= (1-m2)*I.
     """
+    import numpy as np
+
     from qcm import interference_magnitude
 
     logical = mu_a * mu_b if connective == "and" else mu_a + mu_b - mu_a * mu_b
@@ -358,6 +368,8 @@ def nearest_product_oracle(matrix: np.ndarray, iterations: int = 200) -> float:
     Alternates closed-form least-squares updates of the two 2x2 factors;
     independent of the realignment/SVD route used by the library.
     """
+    import numpy as np
+
     tensor = np.asarray(matrix, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
     flat = tensor.reshape(4, 4)  # rows index (i,k) of A, cols (j,l) of B
     rng = np.random.default_rng(7)

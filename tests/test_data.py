@@ -318,6 +318,15 @@ def test_membership_round_trip_property(weights, or_present):
     assert parse_membership_table(json.dumps([fields])) == [record]
 
 
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA_DIR.glob("*.csv")))
+def test_as_dict_round_trips_every_bundled_membership_table(name):
+    records = parse_membership_table((DATA_DIR / name).read_text(encoding="utf-8"))
+    payload = [record.as_dict() for record in records]
+    assert records and all(list(entry) == list(MembershipRecord._keys) for entry in payload)
+    assert set(MembershipRecord._keys) == set(MEMBERSHIP_COLUMNS)
+    assert parse_membership_table(json.dumps(payload)) == records
+
+
 def _ranged_fields() -> list:
     """(id, label, build) for every number checked by ``data._check_range`` in a
     record or a model file: ``build(value)`` puts ``value`` in that one place of

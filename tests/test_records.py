@@ -212,8 +212,10 @@ def test_post_init_validates_as_the_twin_does(cls):
 def test_as_dict_gives_every_field_under_its_camel_case_key(cls):
     # test_every_record_class_has_a_sample makes this a walk over every record class
     record = SAMPLES[cls]
+    # camelCase, but the connectives stay lower case, so mu_a_and_b gives the column muAandB
     oracle = [
-        (re.sub(r"_(.)", lambda m: m.group(1).upper(), name), getattr(record, name))
+        (re.sub(r"_(and|or)(?=_|$)|_(.)", lambda m: m.group(1) or m.group(2).upper(), name),
+         getattr(record, name))
         for name in cls._fields
     ]
     pairs = list(record.as_dict().items())
