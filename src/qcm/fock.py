@@ -498,8 +498,9 @@ def fit_general_quadruple(
             weight = _sum(weights[k] for k in subset)
             if level is not None and weight < level - _EPS:
                 break
-            sides = [(k, math.copysign(1.0, targets[k] - avgs[k])) for k in subset]
-            point = _least_slack_point(base + [a1_bound(k, targets[k], s) for k, s in sides], box)
+            bounds = [a1_bound(k, targets[k], math.copysign(1.0, targets[k] - avgs[k]))
+                      for k in subset]
+            point = _least_slack_point(base + bounds, box)
             if point is not None:
                 level = weight if level is None else level
                 points.append(point)
