@@ -39,6 +39,7 @@ from .data import (
     BLOCKS,
     FIT_POLICIES,
     _check_positive,
+    _check_text,
     _load_json,
     _object,
     _sum,
@@ -568,9 +569,7 @@ def _cmd_report(args, plot: bool) -> tuple[dict, list[svg.Chart]]:
             command = run["command"]
             if command not in _MANIFEST_COMMANDS:
                 raise DataValidationError(f"unknown command {command!r}")
-            name = run.get("name", f"run {index}")
-            if not isinstance(name, str):
-                raise DataValidationError("'name' must be a string")
+            name = _check_text(run.get("name", f"run {index}"), "'name'")
             # every other key is one of the command's own flags, spelled in full
             flags = {}
             for key, value in run.items():

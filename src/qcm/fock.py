@@ -426,6 +426,16 @@ def _least_slack_point(bounds, box):
     return best + (max(c0 + c1 * sa + c2 * sb for c0, c1, c2 in lowers),)
 
 
+def _apart(one, other, box):
+    """Whether two ``_least_slack_point`` bounds on a1 are a lower and an upper bound
+    whose difference exceeds 2 * tol on all of ``box`` widened by tol, tol = _EPS / 10."""
+    (_, low), (_, up) = (one, other) if one[0] else (other, one)
+    g0, g1, g2 = (x - y for x, y in zip(low, up))
+    tol, (sa_lo, sa_hi, sb_lo, sb_hi) = _EPS / 10, box
+    return one[0] != other[0] and g0 + min(g1 * (sa_lo - tol), g1 * (sa_hi + tol)) + min(
+        g2 * (sb_lo - tol), g2 * (sb_hi + tol)) > 2 * tol
+
+
 def fit_general_quadruple(
     record: MembershipRecord, tolerance: float = FIT_TOLERANCE
 ) -> FitResult:
@@ -447,10 +457,14 @@ def fit_general_quadruple(
     first, stopping at the first weight level with a feasible subset.  Each
     LP is solved exactly by ``_least_slack_point``: one clip of the slack
     box, whose vertices on each sign quadrant are the only candidates, under
-    one tolerance.  The result is the proven least-interference
-    representative, not a search estimate.  Ties are broken, in order, by
-    least marginal slack |sa| + |sb|, then the smallest sa, then the
-    smallest sb, then a1 at its lower bound (the smallest alpha_AB).
+    one tolerance.  A table of bound conflicts first rules out each subset
+    with a lower and an upper a1 bound that ``_apart`` finds over twice that
+    tolerance apart on the box widened by it; the LP keeps only vertices
+    there meeting every pairing within it, so it would return None, and the
+    search sees the same feasible subsets in the same order.  The result is
+    the proven least-interference representative, not a search estimate.
+    Ties go, in order, to least marginal slack |sa| + |sb|, the smallest sa,
+    the smallest sb, then a1 at its lower bound (the smallest alpha_AB).
     """
     tolerance = _check_positive(tolerance, "tolerance")
     mu_a, mu_b = record.require("muA", "muB")
@@ -488,9 +502,13 @@ def fit_general_quadruple(
         box = (max(-delta, -mu_a), min(delta, 1.0 - mu_a),
                max(-delta, -mu_b), min(delta, 1.0 - mu_b))
         weights = {k: abs(targets[k] - avgs[k]) for k in BLOCKS}
-        movable = [k for k in BLOCKS if weights[k] > _EPS]
+        own = {k: a1_bound(k, targets[k], math.copysign(1.0, targets[k] - avgs[k])) for k in BLOCKS}
+        movable = [k for k in BLOCKS
+                   if weights[k] > _EPS and not any(_apart(own[k], b, box) for b in base)]
+        clashes = {(j, k) for j, k in combinations(movable, 2) if _apart(own[j], own[k], box)}
         subsets = sorted(
-            (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)),
+            (subset for r in range(len(movable) + 1) for subset in combinations(movable, r)
+             if clashes.isdisjoint(combinations(subset, 2))),
             key=lambda subset: -_sum(weights[k] for k in subset),
         )
         level, points = None, []  # the heaviest feasible weight level and its points
@@ -498,9 +516,7 @@ def fit_general_quadruple(
             weight = _sum(weights[k] for k in subset)
             if level is not None and weight < level - _EPS:
                 break
-            bounds = [a1_bound(k, targets[k], math.copysign(1.0, targets[k] - avgs[k]))
-                      for k in subset]
-            point = _least_slack_point(base + bounds, box)
+            point = _least_slack_point(base + [own[k] for k in subset], box)
             if point is not None:
                 level = weight if level is None else level
                 points.append(point)

@@ -776,6 +776,9 @@ _BAD_MODE = "argument --mode: invalid choice: 'bogus' (choose from 'two-sector',
         (["report", "--manifest", "-"],
          {"runs": [{"command": "fock-fit", "input": "data/hampton.csv", "mode": "bogus"}]}, 1,
          f"{_FOCK_FIT_USAGE}qcm fock-fit: error: manifest run 1: {_BAD_MODE}\n"),
+        (["report", "--manifest", "-"],
+         {"runs": [{"command": "classicality", "input": "data/goldfish.csv", "name": 5}]}, 1,
+         "qcm: error: manifest run 1: 'name' must be a string, got 5\n"),
         (["stats-fit", "--input", "-"], {"category": "c", "N": 0, "observed": [1]}, 1,
          "qcm: error: count dataset 0: dataset 'c': N must be an integer >= 1, got 0\n"),
         (["classicality", "--input", "missing.csv"], None, 2,
@@ -783,7 +786,7 @@ _BAD_MODE = "argument --mode: invalid choice: 'bogus' (choose from 'two-sector',
     ],
     ids=["no-command", "unknown-command", "unknown-subcommand-flag", "bad-mode",
          "policy-with-general", "chsh-stdin-twice", "run-reads-stdin-again", "run-unknown-key",
-         "run-bad-mode", "data-error", "io-error"],
+         "run-bad-mode", "run-name-not-a-string", "data-error", "io-error"],
 )
 def test_error_line_is_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, argv, stdin, code, err):
     # argparse wraps usage text to the terminal width, which COLUMNS sets

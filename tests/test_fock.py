@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA_DIR,
     general_fit_grid_oracle,
     general_fit_interference,
     random_joint_record,
@@ -34,8 +36,9 @@ from qcm import (
     joint_targets,
     record_marginals,
 )
-from qcm.data import FIT_POLICIES
-from qcm.fock import _EPS, MARGINAL_SLACK, _least_slack_point
+from qcm import fock
+from qcm.data import FIT_POLICIES, parse_membership_table
+from qcm.fock import _EPS, MARGINAL_SLACK, _apart, _least_slack_point
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 thousandths = st.integers(min_value=0, max_value=1000).map(lambda n: n / 1000)
@@ -635,6 +638,20 @@ class TestLeastSlackClip:
             assert solved[0] == enumerated[0]  # the rounded slack
             assert all(abs(x - y) <= 1e-12 for x, y in zip(solved[1:], enumerated[1:]))
 
+    @settings(max_examples=400, deadline=None)
+    @given(problem=slack_problems())
+    @example(problem=(
+        [(True, (0.5, 0.0, 0.0)), (False, (0.2, 0.0, 0.0))], (-0.05, 0.05, -0.05, 0.05),
+    ))
+    # a1 >= 0.05 + 5e-14 + sa and a1 <= 0: met within tol at sa = -0.05 only
+    @example(problem=(
+        [(True, (0.05 + 5e-14, 1.0, 0.0)), (False, (0.0, 0.0, 0.0))], (-0.05, 0.05, -0.05, 0.05),
+    ))
+    def test_bounds_apart_leave_no_least_slack_point(self, problem):
+        bounds, box = problem
+        if any(_apart(one, other, box) for one, other in combinations(bounds, 2)):
+            assert _least_slack_point(bounds, box) is None
+
     def test_clip_rejects_some_generated_problems(self):
         bounds, box = find(
             slack_problems(),
@@ -642,6 +659,67 @@ class TestLeastSlackClip:
             settings=settings(max_examples=400, database=None),
         )
         assert least_slack_vertex(bounds, box) is None
+
+
+def count_calls(monkeypatch, name):
+    """Every argument tuple passed to ``fock.<name>`` from now on."""
+    calls = []
+    function = getattr(fock, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(fock, name, counted)
+    return calls
+
+
+def bundled_negation_records():
+    return [
+        record
+        for path in sorted(DATA_DIR.glob("*.csv"))
+        for record in parse_membership_table(path.read_text(encoding="utf-8"))
+        if record.negation_complete()
+    ]
+
+
+def seeded_negation_records(count, seed):
+    """Three-decimal weights, a quarter of them 0, 0.5 or 1; every fifth record
+    is a classical joint, which takes the sector-2 shortcut."""
+    rng = random.Random(seed)
+
+    def weight():
+        return rng.choice((0.0, 0.5, 1.0)) if rng.random() < 0.25 else rng.randint(0, 1000) / 1000
+
+    fields = ("mu_a", "mu_b", "mu_ap", "mu_bp",
+              "mu_a_and_b", "mu_a_and_bp", "mu_ap_and_b", "mu_ap_and_bp")
+    return [
+        random_joint_record(rng, index) if index % 5 == 0
+        else MembershipRecord(exemplar=f"seeded-{index}", **{f: weight() for f in fields})
+        for index in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name, lps", [("goldfish.csv", 1), ("negation_demo.csv", 4)])
+def test_general_fit_solves_an_lp_only_where_no_bounds_are_apart(monkeypatch, name, lps):
+    # every subset search here meets one feasible LP per record; without the
+    # table of bound conflicts it solved 7 and 10 LPs
+    calls = count_calls(monkeypatch, "_least_slack_point")
+    for record in parse_membership_table((DATA_DIR / name).read_text(encoding="utf-8")):
+        fit_general_quadruple(record)
+    assert len(calls) == lps
+
+
+def test_bound_conflicts_change_no_general_fit(monkeypatch):
+    # with no conflict reported, every subset goes to its LP: the search the
+    # table prunes is the oracle, down to the repr of each result
+    records = bundled_negation_records() + seeded_negation_records(1000, seed=30)
+    calls = count_calls(monkeypatch, "_least_slack_point")
+    pruned = [repr(fit_general_quadruple(record)) for record in records]
+    # one LP, a feasible one, per record off the classical shortcut (5 + 800)
+    assert len(calls) == 805
+    monkeypatch.setattr(fock, "_apart", lambda one, other, box: False)
+    assert [repr(fit_general_quadruple(record)) for record in records] == pruned
 
 
 # Published two-sector triples that miss their own target weight: (label,
