@@ -48,6 +48,8 @@ _EXPORTS = {
         "check_negation",
         "deviation_profile",
         "profile_statistics",
+        "RegressionResult",
+        "linear_regression",
     ),
     "fock": (
         "FIT_TOLERANCE",
@@ -89,11 +91,9 @@ _EXPORTS = {
         "DistParams",
         "DistFit",
         "BicComparison",
-        "RegressionResult",
         "pmf_vector",
         "fit_distribution",
         "compare_bic",
-        "linear_regression",
     ),
     "svg": (),
 }

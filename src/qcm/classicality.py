@@ -12,15 +12,22 @@ far the quadruple sits from additivity; a classical record has the zero
 profile, and the pure averaging limit (every combination weight equal to
 the mean of its members, with complementary negation weights) lands
 exactly on (-0.5, -0.5, -0.5, -0.5, -1).
+
+The regression's confidence interval needs one Student-t quantile.  Its
+degrees of freedom are always the integer n - 1, for which the CDF is a
+finite sum (Abramowitz & Stegun 26.7.3 for odd, 26.7.4 for even df); the
+quantile inverts that sum by bisection, so only ``math`` is needed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import struct
 from collections.abc import Sequence
 
-from .data import MembershipRecord, Record, _check_positive, _check_range
-from .errors import InsufficientDataError
-from .stats import RegressionResult, linear_regression
+from .data import MembershipRecord, Record, _check_positive, _check_range, _sum
+from .errors import DataValidationError, InsufficientDataError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -145,6 +152,103 @@ def deviation_profile(record: MembershipRecord) -> DeviationProfile:
         i_bp=residuals["marginal_Bp"],
         # 0.0 - x, not -x: a zero unit_mass must stay +0.0
         i_total=0.0 - residuals["unit_mass"],
+    )
+
+
+class RegressionResult(Record):
+    """OLS line plus a Student-t confidence interval on the mean of y."""
+
+    slope: float
+    intercept: float
+    r2: float
+    mean: float
+    ci_low: float
+    ci_high: float
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "r2", _check_range(self.r2, "r2", -math.inf, 1.0 + 1e-12))
+        if not self.ci_low <= self.mean <= self.ci_high:
+            raise DataValidationError("confidence interval does not bracket the mean")
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 2 (A&S 26.7.3, 26.7.4)."""
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = total = 1.0
+    for k in range(2, df - 1, 2):
+        term *= cos2 * (k - 1 + odd) / (k + odd)
+        total += term
+    if odd:
+        return (theta + math.sin(theta) * math.cos(theta) * total) * 2.0 / math.pi
+    return math.sin(theta) * total
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# the bit pattern of 2.0**64, where the CDF rounds to 1.0 for every df >= 2
+_QUANTILE_TOP = struct.unpack("<q", struct.pack("<d", 2.0**64))[0]
+
+
+@functools.lru_cache
+def _t_quantile(confidence: float, df: int) -> float:
+    """The t with P(|T| <= t) = confidence, i.e. the (1 + confidence) / 2 quantile.
+
+    Bisects the bit patterns of (0, 2**64], which order like the doubles
+    they encode, so at most 63 halvings pin the crossing to one ulp.  Two
+    confidences make the same comparisons up to the first that differs,
+    after which the larger one's bracket lies above, so the quantile never
+    decreases as confidence rises, even where the CDF's last bits are noise.
+    Each bisection step costs O(df), so results are cached: a regression
+    over several quantities of one sample asks for the same quantile each time.
+    """
+    lo, hi = 0, _QUANTILE_TOP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _t_two_sided(_double(mid), df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+    return _double(hi)
+
+
+def linear_regression(
+    xs: Sequence[float], ys: Sequence[float], confidence: float = 0.95
+) -> RegressionResult:
+    """Ordinary least squares of ys on xs plus a CI on mean(ys)."""
+    confidence = _check_positive(confidence, "confidence", 1.0)
+    if len(xs) != len(ys):
+        raise InsufficientDataError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
+    n = len(xs)
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 points, got {n}")
+    xs = [_check_range(x, f"xs[{i}]", -math.inf, math.inf) for i, x in enumerate(xs)]
+    ys = [_check_range(y, f"ys[{i}]", -math.inf, math.inf) for i, y in enumerate(ys)]
+    x_mean = _sum(xs) / n
+    y_mean = _sum(ys) / n
+    sxx = _sum((x - x_mean) ** 2 for x in xs)
+    sxy = _sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    if sxx == 0.0:
+        raise InsufficientDataError("all x values identical; slope undefined")
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    ss_res = _sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = _sum((y - y_mean) ** 2 for y in ys)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    variance = ss_tot / (n - 1)
+    half_width = _t_quantile(confidence, n - 1) * math.sqrt(variance / n)
+    return RegressionResult(
+        slope=slope,
+        intercept=intercept,
+        r2=r2,
+        mean=y_mean,
+        ci_low=y_mean - half_width,
+        ci_high=y_mean + half_width,
+        n=n,
     )
 
 

@@ -1,4 +1,4 @@
-"""Distribution fitting and shared regression utilities.
+"""Distribution fitting.
 
 Two one-parameter families over the N+1 occupation splits of N identical
 instances between two states:
@@ -28,23 +28,17 @@ RSS matches one computed from ``pmf_vector`` bit for bit.
 
 Model comparison uses the Gaussian least-squares BIC
 ``nobs * ln(RSS / nobs) + k * ln(nobs)`` with k = 1 and nobs = N + 1.
-
-The regression's confidence interval needs one Student-t quantile.  Its
-degrees of freedom are always the integer n - 1, for which the CDF is a
-finite sum (Abramowitz & Stegun 26.7.3 for odd, 26.7.4 for even df); the
-quantile inverts that sum by bisection, so only ``math`` is needed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from itertools import accumulate
 
-from .data import CountDataset, Record, _check_count, _check_positive, _check_range, _sum
-from .errors import DataValidationError, InsufficientDataError
+from .data import CountDataset, Record, _check_count, _check_range, _sum
+from .errors import DataValidationError
 
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 1/phi^2
 # absolute p1 tolerance of the MB fit's Brent searches, small enough for an exact
@@ -58,6 +52,7 @@ _EPS = 2.0**-52
 _STOP_ULPS = 4
 # half-width of the MB grid screen's exact window, in standard deviations of Bin(N, p1)
 _SCREEN_SIGMAS = 5.0
+_MB_MAX_N = 1029  # the MB family's limit: the largest N with every float(C(N, n)) finite
 
 # guard: exact fits give RSS = 0; floor keeps ln finite and JSON-safe
 _RSS_FLOOR = 1e-300
@@ -152,8 +147,10 @@ def _binomial_row(big_n: int) -> tuple[float, ...]:
 
     The integers are ``math.comb``'s, at a tenth of its cost for a whole
     row, and a fit, its screen and its plotted pmf share one row.  Raises
-    OverflowError once C(N, n) exceeds the float range (N >~ 1030).
+    DataValidationError past _MB_MAX_N, where C(N, n) leaves the float range.
     """
+    if big_n > _MB_MAX_N:
+        raise DataValidationError(f"the MB family needs N <= {_MB_MAX_N}, got N = {big_n}")
     row = []
     c = 1
     for n in range(big_n + 1):
@@ -232,7 +229,7 @@ def _rss_screen(
     so no step divides by less than 1/2.  With e = (32 + 4 (hi - lo)) 2^-52:
 
     * the start term is at least e^-58 / (N + 1) (method of types, KL <=
-      chi^2) and its powers at least 2^-838, so for N <= 1029 nothing
+      chi^2) and its powers at least 2^-838, so for N <= _MB_MAX_N nothing
       underflows while the terms rise, and each later step's underflow
       (< 3 * 2^-1075) only shrinks.  At four roundings a step, |y_n - x_n|
       <= e X_n + 2^(N - 1071), twice the first order 16 u + 16 u + 4 u a step;
@@ -411,100 +408,3 @@ def compare_bic(fit_a: DistFit, fit_b: DistFit) -> BicComparison:
         separated = r2_known and abs(fit_a.r2 - fit_b.r2) > R2_MARGIN
         strength = "weak" if separated else "none"
     return BicComparison(delta_bic=delta, winner=winner, strength=strength)
-
-
-class RegressionResult(Record):
-    """OLS line plus a Student-t confidence interval on the mean of y."""
-
-    slope: float
-    intercept: float
-    r2: float
-    mean: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "r2", _check_range(self.r2, "r2", -math.inf, 1.0 + 1e-12))
-        if not self.ci_low <= self.mean <= self.ci_high:
-            raise DataValidationError("confidence interval does not bracket the mean")
-
-
-def _t_two_sided(t: float, df: int) -> float:
-    """P(|T| <= t) for Student's t with integer df >= 2 (A&S 26.7.3, 26.7.4)."""
-    theta = math.atan(t / math.sqrt(df))
-    cos2 = math.cos(theta) ** 2
-    odd = df % 2
-    term = total = 1.0
-    for k in range(2, df - 1, 2):
-        term *= cos2 * (k - 1 + odd) / (k + odd)
-        total += term
-    if odd:
-        return (theta + math.sin(theta) * math.cos(theta) * total) * 2.0 / math.pi
-    return math.sin(theta) * total
-
-
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-# the bit pattern of 2.0**64, where the CDF rounds to 1.0 for every df >= 2
-_QUANTILE_TOP = struct.unpack("<q", struct.pack("<d", 2.0**64))[0]
-
-
-@functools.lru_cache
-def _t_quantile(confidence: float, df: int) -> float:
-    """The t with P(|T| <= t) = confidence, i.e. the (1 + confidence) / 2 quantile.
-
-    Bisects the bit patterns of (0, 2**64], which order like the doubles
-    they encode, so at most 63 halvings pin the crossing to one ulp.  Two
-    confidences make the same comparisons up to the first that differs,
-    after which the larger one's bracket lies above, so the quantile never
-    decreases as confidence rises, even where the CDF's last bits are noise.
-    Each bisection step costs O(df), so results are cached: a regression
-    over several quantities of one sample asks for the same quantile each time.
-    """
-    lo, hi = 0, _QUANTILE_TOP
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _t_two_sided(_double(mid), df) < confidence:
-            lo = mid
-        else:
-            hi = mid
-    return _double(hi)
-
-
-def linear_regression(
-    xs: Sequence[float], ys: Sequence[float], confidence: float = 0.95
-) -> RegressionResult:
-    """Ordinary least squares of ys on xs plus a CI on mean(ys)."""
-    confidence = _check_positive(confidence, "confidence", 1.0)
-    if len(xs) != len(ys):
-        raise InsufficientDataError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
-    n = len(xs)
-    if n < 3:
-        raise InsufficientDataError(f"need at least 3 points, got {n}")
-    xs = [_check_range(x, f"xs[{i}]", -math.inf, math.inf) for i, x in enumerate(xs)]
-    ys = [_check_range(y, f"ys[{i}]", -math.inf, math.inf) for i, y in enumerate(ys)]
-    x_mean = _sum(xs) / n
-    y_mean = _sum(ys) / n
-    sxx = _sum((x - x_mean) ** 2 for x in xs)
-    sxy = _sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    if sxx == 0.0:
-        raise InsufficientDataError("all x values identical; slope undefined")
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    ss_res = _sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = _sum((y - y_mean) ** 2 for y in ys)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    variance = ss_tot / (n - 1)
-    half_width = _t_quantile(confidence, n - 1) * math.sqrt(variance / n)
-    return RegressionResult(
-        slope=slope,
-        intercept=intercept,
-        r2=r2,
-        mean=y_mean,
-        ci_low=y_mean - half_width,
-        ci_high=y_mean + half_width,
-        n=n,
-    )

@@ -1,7 +1,8 @@
-"""Classicality checks: rule residuals, deviation profiles, and band summaries."""
+"""Classicality checks: rule residuals, deviation profiles, their regression, and band summaries."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -20,10 +21,11 @@ from qcm import (
     check_disjunction,
     check_negation,
     deviation_profile,
+    linear_regression,
     parse_membership_table,
     profile_statistics,
 )
-from qcm.stats import _t_quantile
+from qcm.classicality import _t_quantile
 
 
 class TestConjunction:
@@ -255,3 +257,123 @@ def test_classical_joint_satisfies_every_rule(weights):
     conj = check_conjunction(record.mu_a, record.mu_b, record.mu_a_and_b)
     disj = check_disjunction(record.mu_a, record.mu_b, record.mu_a_or_b)
     assert conj.satisfied and disj.satisfied and check_negation(record).satisfied
+
+
+class TestLinearRegression:
+    def test_exact_line(self):
+        result = linear_regression([1, 2, 3, 4], [2, 4, 6, 8])
+        assert result.slope == 2.0
+        assert result.intercept == 0.0
+        assert result.r2 == 1.0
+        assert result.mean == 5.0
+        assert result.ci_low < 5.0 < result.ci_high
+        assert result.n == 4
+
+    def test_constant_series(self):
+        result = linear_regression([1, 2, 3], [5, 5, 5])
+        assert result.slope == 0.0
+        assert result.r2 == 1.0
+        assert result.ci_low == result.ci_high == 5.0
+
+    def test_interval_narrows_with_confidence(self):
+        xs = list(range(1, 11))
+        ys = [0.1 * x + ((-1) ** x) * 0.05 for x in xs]
+        wide = linear_regression(xs, ys, confidence=0.99)
+        narrow = linear_regression(xs, ys, confidence=0.80)
+        assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
+
+    def test_needs_three_points(self):
+        with pytest.raises(InsufficientDataError, match="3"):
+            linear_regression([1, 2], [1, 2])
+
+    def test_length_mismatch(self):
+        with pytest.raises(InsufficientDataError, match="mismatch"):
+            linear_regression([1, 2, 3], [1, 2])
+
+    def test_degenerate_abscissa(self):
+        with pytest.raises(InsufficientDataError, match="identical"):
+            linear_regression([1, 1, 1], [1, 2, 3])
+
+    def test_confidence_range(self):
+        with pytest.raises(DataValidationError, match="confidence"):
+            linear_regression([1, 2, 3], [1, 2, 3], confidence=1.5)
+
+    def test_string_confidence_is_a_data_error(self):
+        with pytest.raises(DataValidationError, match=r"^confidence='0.5' is not a number$"):
+            linear_regression([0, 1, 2], [0, 1, 2], confidence="0.5")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_points_follow_the_number_policy(self, axis, bad):
+        points = {"xs": [0.0, 1.0, 2.0, 3.0], "ys": [0.0, 1.0, 4.0, 9.0]}
+        points[axis][2] = bad
+        with pytest.raises(DataValidationError, match=rf"^{axis}\[2\]="):
+            linear_regression(points["xs"], points["ys"])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_point_that_is_not_finite_is_named_so(self, bad):
+        with pytest.raises(DataValidationError, match=rf"^ys\[2\]={bad!r} is not finite$"):
+            linear_regression([0, 1, 2], [0, 1, bad])
+
+    def test_numpy_points_accepted(self):
+        import numpy as np  # test-only, and only here: the rest of the file runs without it
+
+        expected = linear_regression([0, 1, 2, 3, 4], [0.0, 2.0, 1.0, 3.0, 5.0])
+        for xs, ys in (
+            (np.arange(5), np.array([0.0, 2.0, 1.0, 3.0, 5.0])),
+            (np.arange(5, dtype=np.float32), np.array([0, 2, 1, 3, 5], dtype=np.int8)),
+        ):
+            assert linear_regression(xs, ys) == expected
+        assert linear_regression(np.arange(5), np.arange(5.0)).slope == 1.0
+
+    def test_half_width_matches_textbook_t_value(self):
+        # df = 2: P(|T| <= t) = t / sqrt(2 + t^2), so t = c * sqrt(2 / (1 - c^2)) exactly
+        t_975_2 = 0.95 * math.sqrt(2.0 / (1.0 - 0.95**2))
+        assert t_975_2 == pytest.approx(4.302652729749462, rel=1e-15)
+        result = linear_regression([1, 2, 3], [1.0, 3.0, 2.0], confidence=0.95)
+        # ys have mean 2 and sample variance 1, so the half-width is t / sqrt(3)
+        half_width = (result.ci_high - result.ci_low) / 2.0
+        assert half_width == pytest.approx(t_975_2 / math.sqrt(3.0), rel=1e-12)
+
+
+class TestStudentTQuantile:
+    def test_matches_scipy(self):
+        from scipy.stats import t as student_t  # test-only oracle
+
+        for df in [*range(2, 401), 1000, 5000]:
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                expected = student_t.ppf((1.0 + confidence) / 2.0, df)
+                assert _t_quantile(confidence, df) == pytest.approx(expected, rel=1e-10), (
+                    df, confidence,
+                )
+
+    def test_df_two_closed_form_at_extremes(self):
+        # scipy's (1 + c) / 2 loses tiny confidences; at df = 2 the exact value is known.
+        # Near c = 1 the CDF is flat, so its last-bit rounding moves t by ~1e-7 relative.
+        for confidence in (5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-9):
+            exact = confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+            assert _t_quantile(confidence, 2) == pytest.approx(exact, rel=1e-6)
+
+
+EDGE_CONFIDENCES = st.floats(
+    min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+) | st.sampled_from([5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    df=st.integers(min_value=2, max_value=500),
+    confidence=EDGE_CONFIDENCES,
+    other=EDGE_CONFIDENCES,
+    ulps=st.integers(min_value=0, max_value=3),
+)
+def test_t_quantile_finite_positive_and_monotone(df, confidence, other, ulps):
+    # compare with an independent confidence and with one a few ulps above
+    nearby = confidence
+    for _ in range(ulps):
+        nearby = min(math.nextafter(nearby, 1.0), math.nextafter(1.0, 0.0))
+    quantile = _t_quantile(confidence, df)
+    assert 0.0 < quantile < math.inf
+    assert quantile <= _t_quantile(nearby, df)
+    lower, upper = sorted((confidence, other))
+    assert 0.0 < _t_quantile(lower, df) <= _t_quantile(upper, df) < math.inf

@@ -781,12 +781,14 @@ _BAD_MODE = "argument --mode: invalid choice: 'bogus' (choose from 'two-sector',
          "qcm: error: manifest run 1: 'name' must be a string, got 5\n"),
         (["stats-fit", "--input", "-"], {"category": "c", "N": 0, "observed": [1]}, 1,
          "qcm: error: count dataset 0: dataset 'c': N must be an integer >= 1, got 0\n"),
+        (["stats-fit", "--input", "-"], {"category": "c", "N": 1100, "observed": [1] + [0] * 1100},
+         1, "qcm: error: the MB family needs N <= 1029, got N = 1100\n"),
         (["classicality", "--input", "missing.csv"], None, 2,
          "qcm: i/o error: [Errno 2] No such file or directory: 'missing.csv'\n"),
     ],
     ids=["no-command", "unknown-command", "unknown-subcommand-flag", "bad-mode",
          "policy-with-general", "chsh-stdin-twice", "run-reads-stdin-again", "run-unknown-key",
-         "run-bad-mode", "run-name-not-a-string", "data-error", "io-error"],
+         "run-bad-mode", "run-name-not-a-string", "data-error", "mb-past-its-limit", "io-error"],
 )
 def test_error_line_is_pinned_byte_for_byte(tmp_path, monkeypatch, capsys, argv, stdin, code, err):
     # argparse wraps usage text to the terminal width, which COLUMNS sets

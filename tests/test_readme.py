@@ -1,7 +1,9 @@
-"""README: its Python and CLI examples run, and its overview names only real functions."""
+"""README: its Python and CLI examples run, its overview names only real functions, and it
+names every export that ``src/`` does not use."""
 
 from __future__ import annotations
 
+import ast
 import re
 import shlex
 
@@ -50,3 +52,20 @@ def test_overview_functions_resolve_on_qcm():
     assert len(names) >= 10
     missing = [name for name in names if not callable(getattr(qcm, name, None))]
     assert missing == []
+
+
+def test_every_export_is_used_in_src_or_named_in_readme():
+    loaded = set()
+    for path in (REPO_ROOT / "src" / "qcm").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.DOTALL | re.MULTILINE)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    # __version__ is package metadata, not part of the analysis API
+    exports = [name for name in qcm.__all__ if name != "__version__"]
+    assert [name for name in exports if name not in loaded | named] == []

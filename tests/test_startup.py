@@ -9,6 +9,7 @@ slow standard-library modules it loaded beside the qcm modules it executed.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -58,7 +59,7 @@ _ALL = {"qcm.classicality", "qcm.fock", "qcm.hilbert", "qcm.stats"}
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["classicality", "--input", "data/goldfish.csv"], {"qcm.classicality", "qcm.stats"}),
+    (["classicality", "--input", "data/goldfish.csv"], {"qcm.classicality"}),
     (["fock-fit", "--input", "data/hampton.csv"], {"qcm.fock"}),
     (["fock-fit", "--input", "data/goldfish.csv", "--mode", "general"], {"qcm.fock"}),
     (["chsh", "--input", "data/animal_acts_table.json",
@@ -73,6 +74,19 @@ _ALL = {"qcm.classicality", "qcm.fock", "qcm.hilbert", "qcm.stats"}
 def test_each_command_executes_only_its_modules(argv, modules, tmp_path):
     argv = [arg.replace("{tmp}", str(tmp_path / "plot.svg")) for arg in argv]
     assert _executed_by(argv) == _CLI | modules
+
+
+@pytest.mark.parametrize("module", ["classicality", "fock", "hilbert", "stats", "svg"])
+def test_analysis_module_imports_no_other_analysis_module(module):
+    # so each command executes only the analysis modules it calls
+    path = REPO_ROOT / "src" / "qcm" / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith((".", "qcm"))} <= {".data", ".errors"}
 
 
 def test_submodule_imported_after_cli_is_bound_on_the_package():
