@@ -1,4 +1,4 @@
-"""Classical (Kolmogorovian) representability tests and deviation profiles.
+"""Classical (Kolmogorovian) representability tests, deviation profiles and their regression.
 
 A membership pattern is classically representable when a single
 probability space reproduces every measured weight as an event
