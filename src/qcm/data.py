@@ -445,7 +445,7 @@ def parse_coincidence(text: str) -> CoincidenceTable:
     each a list of four outcome objects {"first", "second", "sign", "p"}.
     """
     doc = _object(_load_json(text, "coincidence table"), "coincidence table", BLOCKS)
-    parsed = {}
+    blocks = []
     for key in BLOCKS:
         entries = doc[key]
         if not isinstance(entries, list):
@@ -457,10 +457,8 @@ def parse_coincidence(text: str) -> CoincidenceTable:
                 outcomes.append(CoincidenceOutcome(**entry))
             except DataValidationError as exc:
                 raise DataValidationError(f"block {key}: {exc}") from None
-        parsed[key] = tuple(outcomes)
-    return CoincidenceTable(
-        ab=parsed["AB"], abp=parsed["ABp"], apb=parsed["ApB"], apbp=parsed["ApBp"]
-    )
+        blocks.append(outcomes)
+    return CoincidenceTable(*blocks)  # its fields are the blocks, in BLOCKS order
 
 
 class CountDataset(Record):

@@ -477,7 +477,7 @@ def fit_general_quadruple(
     # classical shortcut: the conjunction weights themselves as sector-2 atoms
     atoms = tuple(targets[k] for k in BLOCKS)
     if (
-        abs(_sum(atoms) - 1.0) <= 1e-9
+        abs(_sum(atoms) - 1.0) <= ALPHA_SUM_TOLERANCE
         and abs(atoms[0] + atoms[1] - mu_a) <= delta + _EPS
         and abs(atoms[0] + atoms[2] - mu_b) <= delta + _EPS
     ):

@@ -245,16 +245,11 @@ class ChshReport(Record):
 
 def expectations_from_table(table: CoincidenceTable) -> ChshReport:
     """Per-block expectations and the CHSH combination."""
-    e = {
-        key: _sum(outcome.sign * outcome.p for outcome in table.block(key))
-        for key in BLOCKS
-    }
-    chsh = e["ApBp"] + e["ApB"] + e["ABp"] - e["AB"]
-    return ChshReport(
-        e_ab=e["AB"],
-        e_abp=e["ABp"],
-        e_apb=e["ApB"],
-        e_apbp=e["ApBp"],
+    e = [_sum(outcome.sign * outcome.p for outcome in table.block(key)) for key in BLOCKS]
+    e_ab, e_abp, e_apb, e_apbp = e
+    chsh = e_apbp + e_apb + e_abp - e_ab
+    return ChshReport(  # its first four fields are the blocks' expectations, in BLOCKS order
+        *e,
         chsh=chsh,
         classical_violated=abs(chsh) > 2.0,
         tsirelson_respected=abs(chsh) <= TSIRELSON_BOUND,
@@ -292,16 +287,15 @@ def marginal_law_check(
     tolerance = _check_positive(tolerance, "tolerance")
     comparisons = []
     for block_a, block_b, side in _MARGINAL_PAIRINGS:
-        labels_a = _side_labels(table, block_a, side)
-        labels_b = _side_labels(table, block_b, side)
-        if set(labels_a) != set(labels_b):
+        sums_a = _side_sums(table, block_a, side)
+        sums_b = _side_sums(table, block_b, side)
+        if sums_a.keys() != sums_b.keys():
             raise SchemaError(
                 f"blocks {block_a} and {block_b} do not share {side}-side labels: "
-                f"{sorted(labels_a)} vs {sorted(labels_b)}"
+                f"{sorted(sums_a)} vs {sorted(sums_b)}"
             )
-        for label in labels_a:
-            lhs = _marginal_sum(table, block_a, side, label)
-            rhs = _marginal_sum(table, block_b, side, label)
+        for label, lhs in sums_a.items():
+            rhs = sums_b[label]
             comparisons.append(
                 MarginalComparison(
                     label=label,
@@ -315,12 +309,14 @@ def marginal_law_check(
     return tuple(comparisons)
 
 
-def _side_labels(table: CoincidenceTable, block: str, side: str) -> list[str]:
-    return list(dict.fromkeys(getattr(outcome, side) for outcome in table.block(block)))
-
-
-def _marginal_sum(table: CoincidenceTable, block: str, side: str, label: str) -> float:
-    return _sum(o.p for o in table.block(block) if getattr(o, side) == label)
+def _side_sums(table: CoincidenceTable, block: str, side: str) -> dict[str, float]:
+    """Each ``side`` label's summed probability in ``block``, in first-seen label
+    order; a label's sum adds left to right from int 0, as ``_sum`` does."""
+    sums = {}
+    for outcome in table.block(block):
+        label = getattr(outcome, side)
+        sums[label] = sums.get(label, 0) + outcome.p
+    return sums
 
 
 class SchmidtReport(Record):
@@ -380,10 +376,10 @@ def operator_product_test(obs: Observable4 | Matrix4) -> OperatorSchmidt:
 
 
 class HilbertModel(Record, eq=False):
-    """A C^4 state plus the four block observables, unvalidated.
+    """A C^4 state plus the four block observables, checked for entry types and shapes.
 
-    Validation happens in ``verify_reference_model`` so that defective
-    models produce a named check failure instead of a parse error.
+    The physical invariants, a unit state and Hermitian +-1 observables, are left
+    to ``verify_reference_model``, so a defective model fails a named check, not the parse.
     """
 
     state: tuple[complex, complex, complex, complex]
@@ -532,10 +528,8 @@ def verify_reference_model(
         )
 
     marginals = marginal_law_check(table, tolerance=marginal_tolerance)
-    any_marginal_violated = any(m.violated for m in marginals)
-    box_condition = (
-        report.classical_violated and report.tsirelson_respected and any_marginal_violated
-    )
+    violations = _sum(m.violated for m in marginals)
+    box_condition = report.classical_violated and report.tsirelson_respected and violations > 0
     classification = NONLOCAL_NON_MARGINAL_BOX_1 if box_condition else None
     checks.append(
         CheckItem(
@@ -543,7 +537,7 @@ def verify_reference_model(
             box_condition,
             f"CHSH = {report.chsh:.4f}, classical violated = {report.classical_violated}, "
             f"tsirelson respected = {report.tsirelson_respected}, "
-            f"marginal violations = {_sum(m.violated for m in marginals)}/{len(marginals)}",
+            f"marginal violations = {violations}/{len(marginals)}",
         )
     )
 

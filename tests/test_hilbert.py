@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
@@ -209,6 +212,75 @@ class TestChshFromTable:
             assert abs(report.chsh) <= TSIRELSON_BOUND + 1e-9
 
 
+# each block's measurements, and the block pairs that share one: (block, block, side)
+MEASUREMENTS = {"AB": ("A", "B"), "ABp": ("A", "Bp"), "ApB": ("Ap", "B"), "ApBp": ("Ap", "Bp")}
+SHARED_MARGINALS = (
+    ("AB", "ABp", "first"),
+    ("ApB", "ApBp", "first"),
+    ("AB", "ApB", "second"),
+    ("ABp", "ApBp", "second"),
+)
+
+
+@st.composite
+def coincidence_tables(draw) -> CoincidenceTable:
+    """Four blocks of four outcomes in shuffled order, with arbitrary label strings.
+
+    Each measurement has a pool of one or two labels.  A block is either the
+    product of its two pools, shuffled, or four draws from them, so two blocks
+    sharing a measurement may show different label sets.
+    """
+    pools = {
+        name: draw(st.lists(st.text(max_size=4), min_size=1, max_size=2, unique=True))
+        for name in ("A", "Ap", "B", "Bp")
+    }
+    blocks = []
+    for key in BLOCKS:
+        firsts, seconds = (pools[name] for name in MEASUREMENTS[key])
+        pairs = list(product(firsts, seconds))
+        if len(pairs) == 4 and draw(st.booleans()):
+            pairs = draw(st.permutations(pairs))
+        else:
+            pair = st.tuples(st.sampled_from(firsts), st.sampled_from(seconds))
+            pairs = draw(st.lists(pair, min_size=4, max_size=4))
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any))
+        total = sum(weights)
+        signs = draw(st.permutations([1, 1, -1, -1]))
+        blocks.append([
+            CoincidenceOutcome(first, second, sign, weight / total)
+            for (first, second), sign, weight in zip(pairs, signs, weights)
+        ])
+    return CoincidenceTable(*blocks)
+
+
+def label_total(outcomes, side: str, label: str) -> float:
+    total = 0  # left to right from int 0, as qcm.data._sum adds
+    for outcome in outcomes:
+        if getattr(outcome, side) == label:
+            total += outcome.p
+    return total
+
+
+def marginal_oracle(table: CoincidenceTable, tolerance: float) -> list[tuple] | str:
+    """Brute-force grouping: for each shared marginal, every label of the first
+    block in first-seen order, both blocks' summed probabilities for it (as hex,
+    to compare bits) and the verdict; or the ``SchemaError`` text when the two
+    blocks' label sets differ."""
+    rows = []
+    for block_a, block_b, side in SHARED_MARGINALS:
+        labels_a = [getattr(outcome, side) for outcome in table.block(block_a)]
+        labels_b = [getattr(outcome, side) for outcome in table.block(block_b)]
+        if set(labels_a) != set(labels_b):
+            return (
+                f"blocks {block_a} and {block_b} do not share {side}-side labels: "
+                f"{sorted(set(labels_a))} vs {sorted(set(labels_b))}"
+            )
+        for label in dict.fromkeys(labels_a):
+            lhs, rhs = (label_total(table.block(b), side, label) for b in (block_a, block_b))
+            rows.append((label, block_a, block_b, lhs.hex(), rhs.hex(), abs(lhs - rhs) > tolerance))
+    return rows
+
+
 class TestMarginalLawCheck:
     def test_reference_table_violates_all_eight(self, animal_table):
         comparisons = marginal_law_check(animal_table)
@@ -248,6 +320,22 @@ class TestMarginalLawCheck:
         doc["ABp"][1]["first"] = "Unicorn"
         with pytest.raises(SchemaError, match="label"):
             marginal_law_check(parse_coincidence(json.dumps(doc)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=coincidence_tables(), tolerance=st.floats(1e-6, 1.0))
+    def test_matches_brute_force_grouping(self, table, tolerance):
+        expected = marginal_oracle(table, tolerance)
+        if isinstance(expected, str):
+            with pytest.raises(SchemaError) as caught:
+                marginal_law_check(table, tolerance)
+            assert str(caught.value) == expected
+            return
+        comparisons = marginal_law_check(table, tolerance)
+        assert [
+            (c.label, c.block_a, c.block_b, c.lhs.hex(), c.rhs.hex(), c.violated)
+            for c in comparisons
+        ] == expected
+
 
 
 class TestStateSchmidt:

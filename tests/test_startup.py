@@ -20,8 +20,9 @@ from conftest import REPO_ROOT, child_env
 
 import qcm
 
-# costly to import (``dataclasses`` imports ``inspect``), and qcm needs none of them
-_SLOW_STDLIB = ("dataclasses", "inspect", "typing")
+# costly to import (``dataclasses`` imports ``inspect``, ``html`` imports
+# ``html.entities``), and qcm needs none of them
+_SLOW_STDLIB = ("dataclasses", "html", "inspect", "typing")
 
 _EXECUTED = (
     "import json, sys, types\n"
